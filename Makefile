@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint sarif check bench benchdiff obscheck trace comm soak bundles
+.PHONY: build test race vet fmt lint sarif check bench benchdiff obscheck trace comm soak bundles e2e
 
 build:
 	$(GO) build ./...
@@ -83,8 +83,8 @@ bundles:
 
 # benchdiff re-runs the shuffle and vectorized microbenchmarks and
 # compares them to the committed BENCH_shuffle.json / BENCH_vec.json
-# baselines; it fails on a ns/op regression past BENCH_TOL (or any
-# allocs/op growth). CI runs this blocking at the default 10%; label a
+# baselines; it fails on a ns/op regression past BENCH_TOL (or
+# allocs/op growth past 2%). CI runs this blocking at the default 10%; label a
 # PR `bench-regression-ok` to demote the gate to advisory when a
 # regression is intentional (see README). Override locally with e.g.
 # `make benchdiff BENCH_TOL=0.30` on noisy machines. When the gate
@@ -115,3 +115,13 @@ comm:
 # file is written). Open /tmp/q9.trace.json in Perfetto.
 trace:
 	$(GO) run ./cmd/benchsuite -quick -exp dag -trace /tmp/q9.trace.json
+
+# e2e runs the end-to-end benchmark BENCHMARK.json declares
+# (benchmarks/e2e): six workloads through hive.Driver with every answer
+# checked, costs on the host clock (in reference-kernel units) and the
+# virtual clock, and with --trace 1 the per-layer spans and replays.
+# Results land in benchmarks/e2e/out/. Compare two runs with
+# `bash benchmarks/e2e/run.sh -compare a/result.json b/result.json`.
+E2E_ARGS ?= --trace 1
+e2e:
+	bash benchmarks/e2e/run.sh $(E2E_ARGS)

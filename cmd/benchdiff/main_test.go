@@ -11,19 +11,23 @@ func TestDiffVerdicts(t *testing.T) {
 		{Name: "BenchmarkSlower", Package: "p", NsPerOp: 100},
 		{Name: "BenchmarkFaster", Package: "p", NsPerOp: 100},
 		{Name: "BenchmarkMoreAllocs", Package: "p", NsPerOp: 100, AllocsOp: 1},
+		{Name: "BenchmarkPooled", Package: "p", NsPerOp: 100, AllocsOp: 142},
+		{Name: "BenchmarkPerStripe", Package: "p", NsPerOp: 100, AllocsOp: 142},
 		{Name: "BenchmarkGone", Package: "p", NsPerOp: 50},
 	}
 	cur := []Result{
-		{Name: "BenchmarkStable", Package: "p", NsPerOp: 110, AllocsOp: 2},     // +10% < tol: ok
-		{Name: "BenchmarkSlower", Package: "p", NsPerOp: 140},                  // +40% > tol: regressed
-		{Name: "BenchmarkFaster", Package: "p", NsPerOp: 60},                   // -40%: improved
-		{Name: "BenchmarkMoreAllocs", Package: "p", NsPerOp: 100, AllocsOp: 3}, // alloc regression
-		{Name: "BenchmarkNew", Package: "p", NsPerOp: 10},                      // no baseline: note only
+		{Name: "BenchmarkStable", Package: "p", NsPerOp: 110, AllocsOp: 2},      // +10% < tol: ok
+		{Name: "BenchmarkSlower", Package: "p", NsPerOp: 140},                   // +40% > tol: regressed
+		{Name: "BenchmarkFaster", Package: "p", NsPerOp: 60},                    // -40%: improved
+		{Name: "BenchmarkMoreAllocs", Package: "p", NsPerOp: 100, AllocsOp: 3},  // alloc regression
+		{Name: "BenchmarkPooled", Package: "p", NsPerOp: 100, AllocsOp: 144},    // a pool miss or two: within allocSlack
+		{Name: "BenchmarkPerStripe", Package: "p", NsPerOp: 100, AllocsOp: 145}, // past allocSlack
+		{Name: "BenchmarkNew", Package: "p", NsPerOp: 10},                       // no baseline: note only
 	}
 	var sb strings.Builder
 	got := Diff(&sb, base, cur, 0.30)
-	if got != 2 {
-		t.Errorf("Diff reported %d regressions, want 2\n%s", got, sb.String())
+	if got != 3 {
+		t.Errorf("Diff reported %d regressions, want 3\n%s", got, sb.String())
 	}
 	out := sb.String()
 	for _, frag := range []string{
@@ -31,6 +35,8 @@ func TestDiffVerdicts(t *testing.T) {
 		"REGRESSED p.BenchmarkSlower",
 		"improved p.BenchmarkFaster",
 		"REGRESSED (allocs) p.BenchmarkMoreAllocs",
+		"ok       p.BenchmarkPooled",
+		"REGRESSED (allocs) p.BenchmarkPerStripe",
 		"new      p.BenchmarkNew",
 		"gone     p.BenchmarkGone",
 	} {

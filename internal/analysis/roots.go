@@ -54,7 +54,8 @@ var HotRootPackages = []string{"kvio", "datampi", "vec"}
 // HotRootMethods are individual hot entry points outside those
 // packages, keyed by internal package name, then receiver type name
 // ("" for free functions): the dfs per-I/O paths and the plan cache's
-// per-statement lookup/insert path in hive.
+// per-statement lookup/insert path in hive, and the storage codec's
+// per-row, per-stream and per-stripe paths.
 var HotRootMethods = map[string]map[string][]string{
 	"dfs": {
 		"Writer": {"Write"},
@@ -64,6 +65,16 @@ var HotRootMethods = map[string]map[string][]string{
 		"PlanCache": {"lookup", "put"},
 		"Driver":    {"foldPlanCacheEvictions"},
 		"":          {"normalizePlanKey"},
+	},
+	// The ORC and Text codecs are the largest host-side layer of most
+	// end-to-end workloads (benchmarks/e2e): their steady state is
+	// allocation per stripe, not per row or per stream.
+	"storage": {
+		"orcWriter":      {"Write", "flushStripe"},
+		"orcSplitReader": {"Next", "NextBatch", "loadStripe", "loadStripeVec", "readColumnStream"},
+		"textWriter":     {"Write"},
+		"decodedColumn":  {"decode", "fillDatums", "fillVector"},
+		"":               {"encodeColumn"},
 	},
 	// bundle.categorize runs per stage on every bundle capture and
 	// inside the benchdiff attribution path; keeping it alloc- and

@@ -8,11 +8,11 @@ import (
 	"hivempi/internal/vec"
 )
 
-// benchORC writes a 20k-row ORC table once per benchmark and returns
-// the FS, schema and whole-file split.
-func benchORC(b *testing.B) (*dfs.FileSystem, dfs.Split) {
+// benchORC writes a 20k-row ORC table once per benchmark, its stripes
+// cut at blockSize, and returns the FS and the whole-file split.
+func benchORC(b *testing.B, blockSize int64) (*dfs.FileSystem, dfs.Split) {
 	b.Helper()
-	fs := dfs.New(dfs.Config{BlockSize: 256 << 10, Nodes: []string{"n1"}})
+	fs := dfs.New(dfs.Config{BlockSize: blockSize, Nodes: []string{"n1"}})
 	schema := testSchema()
 	w, err := CreateTableFile(fs, "/bench.orc", FormatORC, schema)
 	if err != nil {
@@ -36,7 +36,7 @@ func benchORC(b *testing.B) (*dfs.FileSystem, dfs.Split) {
 // BenchmarkORCScanRow decodes the split row by row — the row-mode scan
 // the engine runs without hive.exec.vectorized.
 func BenchmarkORCScanRow(b *testing.B) {
-	fs, split := benchORC(b)
+	fs, split := benchORC(b, 256<<10)
 	schema := testSchema()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -65,7 +65,7 @@ func BenchmarkORCScanRow(b *testing.B) {
 // BenchmarkORCScanBatch decodes the same split through the columnar
 // path straight into vector payloads.
 func BenchmarkORCScanBatch(b *testing.B) {
-	fs, split := benchORC(b)
+	fs, split := benchORC(b, 256<<10)
 	schema := testSchema()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -87,6 +87,81 @@ func BenchmarkORCScanBatch(b *testing.B) {
 			n += batch.N
 		}
 		vec.Put(batch)
+		if n != 20000 {
+			b.Fatalf("read %d rows", n)
+		}
+	}
+}
+
+// benchWrite encodes the same 20k rows through a new writer each
+// iteration. The sink discards: the dfs write has its own benchmarks,
+// and without its block allocations the B/op and allocs/op here are the
+// codec's alone. (allocs/op still wobbles by one or two: now and then
+// a Get finds its sync.Pool empty on this P and builds a compressor,
+// ~20 objects. benchdiff allows allocs/op that much slack.)
+func benchWrite(b *testing.B, open func() RowWriter) {
+	rows := testRows(20000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := open()
+		for _, row := range rows {
+			if err := w.Write(row); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkORCWrite cuts ~14 stripes of 5 column streams per file, at
+// the stripe size the e2e geometry's 64 KiB blocks give.
+func BenchmarkORCWrite(b *testing.B) {
+	benchWrite(b, func() RowWriter {
+		return newORCWriter(discardCloser{io.Discard}, testSchema(), ORCOptions{StripeBytes: 64 << 10})
+	})
+}
+
+// BenchmarkTextWrite renders the same rows through the Text encoder.
+func BenchmarkTextWrite(b *testing.B) {
+	benchWrite(b, func() RowWriter { return newTextWriter(discardCloser{io.Discard}, testSchema()) })
+}
+
+// BenchmarkORCOpenSplits opens and drains every one-stripe split of a
+// file of at least 64 stripes: each open reads the whole footer, so
+// footer work grows as stripes x splits.
+func BenchmarkORCOpenSplits(b *testing.B) {
+	fs, whole := benchORC(b, 4<<10)
+	schema := testSchema()
+	splits, err := fs.Splits(whole.Path, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(splits) < 64 {
+		b.Fatalf("%d splits, want at least 64", len(splits))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		for _, sp := range splits {
+			rd, err := OpenSplit(fs, sp, FormatORC, schema, nil, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for {
+				_, err := rd.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				n++
+			}
+		}
 		if n != 20000 {
 			b.Fatalf("read %d rows", n)
 		}

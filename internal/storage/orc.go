@@ -6,7 +6,10 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
+	"sync"
 
 	"hivempi/internal/types"
 	"hivempi/internal/vec"
@@ -71,9 +74,25 @@ type orcFooter struct {
 	Columns []orcColumnMeta `json:"columns"`
 	Stripes []orcStripeMeta `json:"stripes"`
 	Rows    int64           `json:"rows"`
+
+	// dataEnd is the largest stripe end, set by validate: the bytes the
+	// file must hold in front of the footer.
+	dataEnd int64
 }
 
-// orcWriter buffers rows into stripes.
+// deflaters recycles the writers' compressor state. A flate.Writer is
+// ~1.2 MB of tables whatever the size of the stream it compresses, and
+// Reset makes a used one equivalent to a new one, so the file bytes do
+// not depend on what a compressor wrote before.
+var deflaters = sync.Pool{New: func() any {
+	// NewWriter only fails on an invalid level.
+	fw, _ := flate.NewWriter(nil, flate.BestSpeed)
+	return fw
+}}
+
+// orcWriter buffers rows into stripes. The stripe buffer and the
+// column-encoding scratch live as long as the writer, so steady-state
+// work allocates per stripe (its footer entry), not per stream.
 type orcWriter struct {
 	w      io.WriteCloser
 	schema *types.Schema
@@ -84,6 +103,9 @@ type orcWriter struct {
 	approxBytes int64
 	offset      int64
 	footer      orcFooter
+
+	stripe bytes.Buffer
+	enc    encScratch
 }
 
 func newORCWriter(w io.WriteCloser, schema *types.Schema, opts ORCOptions) *orcWriter {
@@ -123,29 +145,29 @@ func (ow *orcWriter) flushStripe() error {
 		return nil
 	}
 	meta := orcStripeMeta{Offset: ow.offset, Rows: ow.rows}
-	meta.ColOffsets = make([]int64, 0, ow.schema.Len()+1)
-	var stripe bytes.Buffer
+	meta.ColOffsets = make([]int64, len(ow.cols)+1)
+	meta.Stats = make([]orcColStat, len(ow.cols))
+	ow.stripe.Reset()
+	fw := deflaters.Get().(*flate.Writer)
+	defer deflaters.Put(fw)
 	for ci, col := range ow.cols {
-		meta.ColOffsets = append(meta.ColOffsets, int64(stripe.Len()))
-		raw, err := encodeColumn(ow.schema.Columns[ci].Type, col)
+		meta.ColOffsets[ci] = int64(ow.stripe.Len())
+		raw, err := encodeColumn(&ow.enc, ow.schema.Columns[ci].Type, col)
 		if err != nil {
 			return err
 		}
-		fw, err := flate.NewWriter(&stripe, flate.BestSpeed)
-		if err != nil {
-			return err
-		}
+		fw.Reset(&ow.stripe)
 		if _, err := fw.Write(raw); err != nil {
 			return err
 		}
 		if err := fw.Close(); err != nil {
 			return err
 		}
-		meta.Stats = append(meta.Stats, columnStats(col))
+		meta.Stats[ci] = columnStats(col)
 	}
-	meta.ColOffsets = append(meta.ColOffsets, int64(stripe.Len()))
-	meta.Length = int64(stripe.Len())
-	if _, err := ow.w.Write(stripe.Bytes()); err != nil {
+	meta.Length = int64(ow.stripe.Len())
+	meta.ColOffsets[len(ow.cols)] = meta.Length
+	if _, err := ow.w.Write(ow.stripe.Bytes()); err != nil {
 		return err
 	}
 	ow.offset += meta.Length
@@ -157,6 +179,23 @@ func (ow *orcWriter) flushStripe() error {
 	ow.rows = 0
 	ow.approxBytes = 0
 	return nil
+}
+
+// datumLess is types.Compare(a, b) < 0 for non-null datums, with the
+// comparison of two values of one kind (all a column normally holds)
+// done in place.
+func datumLess(a, b types.Datum) bool {
+	if a.K == b.K {
+		switch a.K {
+		case types.KindBool, types.KindInt, types.KindDate:
+			return a.I < b.I
+		case types.KindFloat:
+			return a.F < b.F
+		case types.KindString:
+			return a.S < b.S
+		}
+	}
+	return types.Compare(a, b) < 0
 }
 
 func columnStats(col []types.Datum) orcColStat {
@@ -173,10 +212,10 @@ func columnStats(col []types.Datum) orcColStat {
 			seen = true
 			continue
 		}
-		if types.Compare(d, min) < 0 {
+		if datumLess(d, min) {
 			min = d
 		}
-		if types.Compare(d, max) > 0 {
+		if datumLess(max, d) {
 			max = d
 		}
 	}
@@ -205,7 +244,151 @@ func (ow *orcWriter) Close() error {
 	return ow.w.Close()
 }
 
-// readORCFooter parses the footer from a ReadSeeker.
+// inflater is the pooled read-side codec state: one flate decompressor
+// and the compressed and inflated buffers it works between. A reader
+// borrows one for the length of a footer read or a stripe load and
+// copies out what it keeps, so nothing served to a caller aliases it.
+type inflater struct {
+	src  bytes.Reader
+	fr   io.ReadCloser // also a flate.Resetter
+	comp []byte
+	raw  bytes.Buffer
+}
+
+var inflaters = sync.Pool{New: func() any {
+	in := &inflater{}
+	in.fr = flate.NewReader(&in.src)
+	return in
+}}
+
+// fetch reads [off, off+n) of r into the compressed buffer.
+func (in *inflater) fetch(r io.ReadSeeker, off, n int64) ([]byte, error) {
+	in.comp = resize(in.comp, int(n))
+	if _, err := r.Seek(off, io.SeekStart); err != nil {
+		return nil, err
+	}
+	if _, err := io.ReadFull(r, in.comp); err != nil {
+		return nil, err
+	}
+	return in.comp, nil
+}
+
+// inflate decompresses comp into the raw buffer.
+func (in *inflater) inflate(comp []byte) ([]byte, error) {
+	in.src.Reset(comp)
+	if err := in.fr.(flate.Resetter).Reset(&in.src, nil); err != nil {
+		return nil, err
+	}
+	in.raw.Reset()
+	if _, err := in.raw.ReadFrom(in.fr); err != nil {
+		return nil, err
+	}
+	return in.raw.Bytes(), nil
+}
+
+// maxInflateRatio is deflate's largest possible expansion (a stored
+// run of 258-byte matches costs one bit each): a stream of n compressed
+// bytes never inflates past n*maxInflateRatio.
+const maxInflateRatio = 1032
+
+// validate checks everything the readers index or allocate by, so that
+// a hostile footer is an error at open and never a panic or an
+// allocation sized by its claims. It also records dataEnd, which
+// readORCFooter holds against the length of the file at hand.
+func (f *orcFooter) validate() error {
+	nCols := len(f.Columns)
+	for i := range f.Stripes {
+		st := &f.Stripes[i]
+		if st.Offset < 0 || st.Length < 0 || st.Rows < 0 || st.Length > math.MaxInt64-st.Offset {
+			return fmt.Errorf("storage: orc stripe %d: bad extent (offset %d, length %d, rows %d)",
+				i, st.Offset, st.Length, st.Rows)
+		}
+		if len(st.ColOffsets) != nCols+1 {
+			return fmt.Errorf("storage: orc stripe %d: %d column offsets for %d columns",
+				i, len(st.ColOffsets), nCols)
+		}
+		prev := int64(0)
+		for ci, off := range st.ColOffsets {
+			if off < prev || off > st.Length {
+				return fmt.Errorf("storage: orc stripe %d: column offset %d out of order or past length %d",
+					i, off, st.Length)
+			}
+			// Each stream carries one presence bit per row.
+			if ci > 0 && int64(st.Rows) > (off-prev)*8*maxInflateRatio {
+				return fmt.Errorf("storage: orc stripe %d: %d rows cannot fit a %d-byte column stream",
+					i, st.Rows, off-prev)
+			}
+			prev = off
+		}
+		if end := st.Offset + st.Length; end > f.dataEnd {
+			f.dataEnd = end
+		}
+	}
+	return nil
+}
+
+// footerMemoCap bounds the parsed-footer cache. Workloads re-open the
+// same few dozen part files once per split; past the cap the oldest
+// entry goes.
+const footerMemoCap = 64
+
+// footerMemo caches parsed footers by the content of their bytes. The
+// bytes are still read from the file on every open, so the I/O a reader
+// does (and every error it can meet doing it) does not depend on the
+// cache; only json.Unmarshal and validate are skipped. Entries are
+// valid footers only and are never written after insertion.
+var footerMemo struct {
+	mu      sync.Mutex
+	entries map[uint32]*footerEntry
+	order   [footerMemoCap]uint32 // keys by insertion; order[n%cap] is the oldest once full
+	n       int
+}
+
+type footerEntry struct {
+	raw    []byte
+	footer *orcFooter
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// parseORCFooter returns the validated footer encoded by fb, from the
+// memo when an earlier open parsed the same bytes.
+func parseORCFooter(fb []byte) (*orcFooter, error) {
+	key := crc32.Checksum(fb, castagnoli)
+	m := &footerMemo
+	m.mu.Lock()
+	e := m.entries[key]
+	m.mu.Unlock()
+	if e != nil && bytes.Equal(e.raw, fb) {
+		return e.footer, nil
+	}
+	footer := &orcFooter{}
+	if err := json.Unmarshal(fb, footer); err != nil {
+		return nil, fmt.Errorf("storage: orc footer: %w", err)
+	}
+	if err := footer.validate(); err != nil {
+		return nil, err
+	}
+	e = &footerEntry{raw: bytes.Clone(fb), footer: footer}
+	m.mu.Lock()
+	if m.entries == nil {
+		m.entries = make(map[uint32]*footerEntry, footerMemoCap)
+	}
+	if _, held := m.entries[key]; !held {
+		slot := m.n % footerMemoCap
+		if m.n >= footerMemoCap {
+			delete(m.entries, m.order[slot])
+		}
+		m.order[slot] = key
+		m.n++
+	}
+	m.entries[key] = e
+	m.mu.Unlock()
+	return footer, nil
+}
+
+// readORCFooter reads the tail and the footer bytes from r and parses
+// them.
 func readORCFooter(r io.ReadSeeker) (*orcFooter, error) {
 	end, err := r.Seek(0, io.SeekEnd)
 	if err != nil {
@@ -228,18 +411,21 @@ func readORCFooter(r io.ReadSeeker) (*orcFooter, error) {
 	if flen > end-8 {
 		return nil, fmt.Errorf("storage: orc footer length %d exceeds file", flen)
 	}
-	fb := make([]byte, flen)
-	if _, err := r.Seek(end-8-flen, io.SeekStart); err != nil {
+	in := inflaters.Get().(*inflater)
+	defer inflaters.Put(in)
+	fb, err := in.fetch(r, end-8-flen, flen)
+	if err != nil {
 		return nil, err
 	}
-	if _, err := io.ReadFull(r, fb); err != nil {
+	footer, err := parseORCFooter(fb)
+	if err != nil {
 		return nil, err
 	}
-	var footer orcFooter
-	if err := json.Unmarshal(fb, &footer); err != nil {
-		return nil, fmt.Errorf("storage: orc footer: %w", err)
+	if footer.dataEnd > end-8-flen {
+		return nil, fmt.Errorf("storage: orc stripes end at %d, past the %d data bytes of the file",
+			footer.dataEnd, end-8-flen)
 	}
-	return &footer, nil
+	return footer, nil
 }
 
 // orcSplitReader serves the stripes whose start offset lies inside the
@@ -248,19 +434,24 @@ func readORCFooter(r io.ReadSeeker) (*orcFooter, error) {
 type orcSplitReader struct {
 	r       io.ReadSeeker
 	schema  *types.Schema
-	footer  *orcFooter
-	stripes []orcStripeMeta
-	project []int
+	stripes []*orcStripeMeta // into the shared footer: read-only
+	project []int            // resolved: every column when none was requested
 
 	si   int
-	cols [][]types.Datum
 	row  int
 	rows int
 
-	// vcols holds the batch path's raw decoded streams (presence +
-	// dense values) so NextBatch copies column data straight into
-	// vector payloads without materializing Datums. A reader is used in
-	// row mode or batch mode, never both.
+	// Row mode: the current stripe's rows, row-major in one slab that
+	// Next cuts rows from. A stripe gets a fresh slab, so rows stay
+	// valid for as long as their holders keep them.
+	slab []types.Datum
+	dc   decodedColumn // the column being decoded into the slab
+
+	// vcols holds the batch path's decoded streams (presence + dense
+	// values) per projected column, reused from stripe to stripe, so
+	// NextBatch copies column data straight into vector payloads
+	// without materializing Datums. A reader is used in row mode or
+	// batch mode, never both.
 	vcols []*decodedColumn
 
 	// BytesReadPhysical counts compressed bytes actually fetched, the
@@ -278,8 +469,15 @@ func newORCSplitReader(r io.ReadSeeker, offset, length int64, schema *types.Sche
 	if len(footer.Columns) != schema.Len() {
 		return nil, fmt.Errorf("storage: orc has %d columns, schema %d", len(footer.Columns), schema.Len())
 	}
-	sr := &orcSplitReader{r: r, schema: schema, footer: footer, project: projection}
-	for _, st := range footer.Stripes {
+	sr := &orcSplitReader{r: r, schema: schema, project: projection}
+	if projection == nil {
+		sr.project = make([]int, schema.Len())
+		for i := range sr.project {
+			sr.project[i] = i
+		}
+	}
+	for i := range footer.Stripes {
+		st := &footer.Stripes[i]
 		if st.Offset < offset || st.Offset >= offset+length {
 			continue
 		}
@@ -295,57 +493,48 @@ func newORCSplitReader(r io.ReadSeeker, offset, length int64, schema *types.Sche
 	return sr, nil
 }
 
-// projected returns the effective projection list (all columns when
-// none was requested).
-func (sr *orcSplitReader) projected() []int {
-	if sr.project != nil {
-		return sr.project
-	}
-	all := make([]int, sr.schema.Len())
-	for i := range all {
-		all[i] = i
-	}
-	return all
-}
-
-// readColumnStream fetches and inflates one column's stream of st.
-func (sr *orcSplitReader) readColumnStream(st orcStripeMeta, ci int) ([]byte, error) {
+// readColumnStream fetches and inflates one column's stream of st into
+// in's buffers.
+func (sr *orcSplitReader) readColumnStream(in *inflater, st *orcStripeMeta, ci int) ([]byte, error) {
 	if ci < 0 || ci >= sr.schema.Len() {
 		return nil, fmt.Errorf("storage: orc projection column %d out of range", ci)
 	}
-	lo := st.Offset + st.ColOffsets[ci]
-	hi := st.Offset + st.ColOffsets[ci+1]
-	comp := make([]byte, hi-lo)
-	if _, err := sr.r.Seek(lo, io.SeekStart); err != nil {
-		return nil, err
-	}
-	if _, err := io.ReadFull(sr.r, comp); err != nil {
+	lo, hi := st.ColOffsets[ci], st.ColOffsets[ci+1]
+	comp, err := in.fetch(sr.r, st.Offset+lo, hi-lo)
+	if err != nil {
 		return nil, fmt.Errorf("storage: orc column stream: %w", err)
 	}
 	sr.BytesReadPhysical += int64(len(comp))
-	raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(comp)))
+	raw, err := in.inflate(comp)
 	if err != nil {
 		return nil, fmt.Errorf("storage: orc inflate: %w", err)
 	}
 	return raw, nil
 }
 
-// loadStripe decompresses the projected columns of stripe si.
-func (sr *orcSplitReader) loadStripe(st orcStripeMeta) error {
-	sr.cols = make([][]types.Datum, sr.schema.Len())
-	for _, ci := range sr.projected() {
-		raw, err := sr.readColumnStream(st, ci)
+// loadStripe decompresses the projected columns of st into a new slab.
+func (sr *orcSplitReader) loadStripe(st *orcStripeMeta) error {
+	in := inflaters.Get().(*inflater)
+	defer inflaters.Put(in)
+	width := sr.schema.Len()
+	sr.slab = nil
+	for _, ci := range sr.project {
+		raw, err := sr.readColumnStream(in, st, ci)
 		if err != nil {
 			return err
 		}
-		col, err := decodeColumn(sr.schema.Columns[ci].Type, raw)
-		if err != nil {
+		if err := sr.dc.decode(sr.schema.Columns[ci].Type, raw, st.Rows); err != nil {
 			return err
 		}
-		if len(col) != st.Rows {
-			return fmt.Errorf("storage: orc column has %d rows, stripe %d", len(col), st.Rows)
+		if sr.slab == nil {
+			// Sized only now that a decoded stream vouches for st.Rows.
+			sr.slab = make([]types.Datum, st.Rows*width)
 		}
-		sr.cols[ci] = col
+		sr.dc.fillDatums(sr.slab[ci:], width, st.Rows)
+	}
+	if sr.slab == nil {
+		// Nothing projected: st.Rows all-NULL rows, a count validate bounded.
+		sr.slab = make([]types.Datum, st.Rows*width)
 	}
 	sr.rows = st.Rows
 	sr.row = 0
@@ -354,21 +543,23 @@ func (sr *orcSplitReader) loadStripe(st orcStripeMeta) error {
 
 // loadStripeVec decompresses the projected columns of a stripe into
 // raw streams for the batch path.
-func (sr *orcSplitReader) loadStripeVec(st orcStripeMeta) error {
-	sr.vcols = make([]*decodedColumn, sr.schema.Len())
-	for _, ci := range sr.projected() {
-		raw, err := sr.readColumnStream(st, ci)
+func (sr *orcSplitReader) loadStripeVec(st *orcStripeMeta) error {
+	in := inflaters.Get().(*inflater)
+	defer inflaters.Put(in)
+	if sr.vcols == nil {
+		sr.vcols = make([]*decodedColumn, sr.schema.Len())
+	}
+	for _, ci := range sr.project {
+		raw, err := sr.readColumnStream(in, st, ci)
 		if err != nil {
 			return err
 		}
-		dc, err := decodeColumnStreams(sr.schema.Columns[ci].Type, raw)
-		if err != nil {
+		if sr.vcols[ci] == nil {
+			sr.vcols[ci] = &decodedColumn{}
+		}
+		if err := sr.vcols[ci].decode(sr.schema.Columns[ci].Type, raw, st.Rows); err != nil {
 			return err
 		}
-		if len(dc.present) != st.Rows {
-			return fmt.Errorf("storage: orc column has %d rows, stripe %d", len(dc.present), st.Rows)
-		}
-		sr.vcols[ci] = dc
 	}
 	sr.rows = st.Rows
 	sr.row = 0
@@ -380,7 +571,7 @@ func (sr *orcSplitReader) loadStripeVec(st orcStripeMeta) error {
 // vec.DefaultSize rows decoded directly from the pruned column
 // streams, and returns io.EOF when the split is exhausted.
 func (sr *orcSplitReader) NextBatch(b *vec.Batch) error {
-	for sr.row >= sr.rows || sr.vcols == nil {
+	for sr.row >= sr.rows {
 		if sr.si >= len(sr.stripes) {
 			return io.EOF
 		}
@@ -418,14 +609,10 @@ func (sr *orcSplitReader) Next() (types.Row, error) {
 		}
 		sr.si++
 	}
-	row := make(types.Row, sr.schema.Len())
-	for ci := range row {
-		if sr.cols[ci] != nil {
-			row[ci] = sr.cols[ci][sr.row]
-		} else {
-			row[ci] = types.Null()
-		}
-	}
+	// The capacity is capped at the row's end so that appending to a row
+	// reallocates and cannot reach into its neighbour.
+	width := sr.schema.Len()
+	lo, hi := sr.row*width, (sr.row+1)*width
 	sr.row++
-	return row, nil
+	return types.Row(sr.slab[lo:hi:hi]), nil
 }

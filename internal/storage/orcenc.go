@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"hivempi/internal/types"
 	"hivempi/internal/vec"
@@ -32,6 +33,15 @@ const (
 	strDict   = 0x01
 )
 
+// resize returns s with length n, reusing its backing array when it is
+// large enough. The contents are unspecified; callers overwrite them.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // appendPresence encodes the null bitmap (bit set = value present).
 func appendPresence(buf []byte, col []types.Datum) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(col)))
@@ -51,21 +61,21 @@ func appendPresence(buf []byte, col []types.Datum) []byte {
 	return buf
 }
 
-// decodePresence returns the presence flags and bytes consumed.
-func decodePresence(buf []byte) ([]bool, int, error) {
+// decodePresence checks the stream's declared row count against the
+// stripe's and returns the bitmap (aliasing buf) and the bytes consumed.
+func decodePresence(buf []byte, rows int) ([]byte, int, error) {
 	n, used := binary.Uvarint(buf)
 	if used <= 0 {
 		return nil, 0, fmt.Errorf("storage: orc presence count")
 	}
-	nbytes := (int(n) + 7) / 8
-	if len(buf) < used+nbytes {
+	if n != uint64(rows) {
+		return nil, 0, fmt.Errorf("storage: orc column has %d rows, stripe %d", n, rows)
+	}
+	nbytes := (rows + 7) / 8
+	if len(buf)-used < nbytes {
 		return nil, 0, fmt.Errorf("storage: orc presence bitmap truncated")
 	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = buf[used+i/8]&(1<<(i%8)) != 0
-	}
-	return out, used + nbytes, nil
+	return buf[used : used+nbytes], used + nbytes, nil
 }
 
 // appendInts RLE-encodes the non-null integer values.
@@ -106,15 +116,21 @@ func appendInts(buf []byte, vals []int64) []byte {
 	return buf
 }
 
-// decodeInts reverses appendInts, returning values and bytes consumed.
-func decodeInts(buf []byte) ([]int64, int, error) {
+// decodeInts reverses appendInts into dst's backing array, returning
+// the values and bytes consumed. max bounds the declared count (a
+// column never holds more values than its stripe has rows), so hostile
+// input cannot size the allocation.
+func decodeInts(dst []int64, buf []byte, max int) ([]int64, int, error) {
 	total, used := binary.Uvarint(buf)
 	if used <= 0 {
 		return nil, 0, fmt.Errorf("storage: orc int count")
 	}
+	if total > uint64(max) {
+		return nil, 0, fmt.Errorf("storage: orc int count %d exceeds %d rows", total, max)
+	}
+	dst = resize(dst, int(total))
 	pos := used
-	out := make([]int64, 0, total)
-	for uint64(len(out)) < total {
+	for i := 0; i < len(dst); {
 		if pos >= len(buf) {
 			return nil, 0, fmt.Errorf("storage: orc int stream truncated")
 		}
@@ -124,7 +140,11 @@ func decodeInts(buf []byte) ([]int64, int, error) {
 		if n <= 0 {
 			return nil, 0, fmt.Errorf("storage: orc int block count")
 		}
+		if count > uint64(len(dst)-i) {
+			return nil, 0, fmt.Errorf("storage: orc int block of %d overruns count", count)
+		}
 		pos += n
+		end := i + int(count)
 		switch kind {
 		case blkRun:
 			v, n := binary.Varint(buf[pos:])
@@ -132,23 +152,23 @@ func decodeInts(buf []byte) ([]int64, int, error) {
 				return nil, 0, fmt.Errorf("storage: orc run value")
 			}
 			pos += n
-			for k := uint64(0); k < count; k++ {
-				out = append(out, v)
+			for ; i < end; i++ {
+				dst[i] = v
 			}
 		case blkLiteral:
-			for k := uint64(0); k < count; k++ {
+			for ; i < end; i++ {
 				v, n := binary.Varint(buf[pos:])
 				if n <= 0 {
 					return nil, 0, fmt.Errorf("storage: orc literal value")
 				}
 				pos += n
-				out = append(out, v)
+				dst[i] = v
 			}
 		default:
 			return nil, 0, fmt.Errorf("storage: orc int block kind %d", kind)
 		}
 	}
-	return out, pos, nil
+	return dst, pos, nil
 }
 
 // appendFloats encodes non-null doubles as fixed 8-byte LE.
@@ -160,41 +180,68 @@ func appendFloats(buf []byte, vals []float64) []byte {
 	return buf
 }
 
-func decodeFloats(buf []byte) ([]float64, int, error) {
+// decodeFloats reverses appendFloats into dst's backing array; max
+// bounds the declared count as in decodeInts.
+func decodeFloats(dst []float64, buf []byte, max int) ([]float64, int, error) {
 	total, used := binary.Uvarint(buf)
 	if used <= 0 {
 		return nil, 0, fmt.Errorf("storage: orc float count")
 	}
-	need := used + int(total)*8
-	if len(buf) < need {
+	if total > uint64(max) {
+		return nil, 0, fmt.Errorf("storage: orc float count %d exceeds %d rows", total, max)
+	}
+	if total > uint64(len(buf)-used)/8 {
 		return nil, 0, fmt.Errorf("storage: orc float stream truncated")
 	}
-	out := make([]float64, total)
-	for i := range out {
-		bits := binary.LittleEndian.Uint64(buf[used+i*8:])
-		out[i] = math.Float64frombits(bits)
+	dst = resize(dst, int(total))
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[used+i*8:]))
 	}
-	return out, need, nil
+	return dst, used + len(dst)*8, nil
+}
+
+// encScratch is the encodeColumn working set an orcWriter keeps across
+// stripes: the raw stream, the dense non-null values and the string
+// dictionary. Nothing in it outlives one encodeColumn call.
+type encScratch struct {
+	raw    []byte
+	ints   []int64
+	floats []float64
+	strs   []string
+	dict   map[string]int
+	order  []string
 }
 
 // appendStrings chooses dictionary or direct encoding by distinct ratio.
-func appendStrings(buf []byte, vals []string) []byte {
+func (sc *encScratch) appendStrings(buf []byte, vals []string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(vals)))
 	if len(vals) == 0 {
 		return buf
 	}
-	dict := make(map[string]int, len(vals))
-	order := make([]string, 0, 16)
+	if sc.dict == nil {
+		sc.dict = make(map[string]int)
+	}
+	clear(sc.dict)
+	dict, order := sc.dict, resize(sc.order, len(vals)/2)
+	// The dictionary pays off when at most half the values are distinct;
+	// the scan stops at the first value that would pass that mark.
+	n, useDict := 0, true
 	for _, s := range vals {
 		if _, ok := dict[s]; !ok {
-			dict[s] = len(order)
-			order = append(order, s)
+			if n == len(order) {
+				useDict = false
+				break
+			}
+			dict[s] = n
+			order[n] = s
+			n++
 		}
 	}
-	if len(order)*2 <= len(vals) {
+	sc.order = order
+	if useDict {
 		buf = append(buf, strDict)
-		buf = binary.AppendUvarint(buf, uint64(len(order)))
-		for _, s := range order {
+		buf = binary.AppendUvarint(buf, uint64(n))
+		for _, s := range order[:n] {
 			buf = binary.AppendUvarint(buf, uint64(len(s)))
 			buf = append(buf, s...)
 		}
@@ -213,157 +260,190 @@ func appendStrings(buf []byte, vals []string) []byte {
 	return buf
 }
 
-func decodeStrings(buf []byte) ([]string, int, error) {
-	total, used := binary.Uvarint(buf)
-	if used <= 0 {
-		return nil, 0, fmt.Errorf("storage: orc string count")
+// encodeColumn produces the full column stream (presence + values) in
+// sc.raw; the result is valid until the next call with the same scratch.
+func encodeColumn(sc *encScratch, kind types.Kind, col []types.Datum) ([]byte, error) {
+	buf := appendPresence(sc.raw[:0], col)
+	n := 0
+	switch kind {
+	case types.KindBool, types.KindInt, types.KindDate:
+		sc.ints = resize(sc.ints, len(col))
+		for _, d := range col {
+			if !d.IsNull() {
+				sc.ints[n] = d.I
+				n++
+			}
+		}
+		buf = appendInts(buf, sc.ints[:n])
+	case types.KindFloat:
+		sc.floats = resize(sc.floats, len(col))
+		for _, d := range col {
+			if !d.IsNull() {
+				sc.floats[n] = d.F
+				n++
+			}
+		}
+		buf = appendFloats(buf, sc.floats[:n])
+	case types.KindString:
+		sc.strs = resize(sc.strs, len(col))
+		for _, d := range col {
+			if !d.IsNull() {
+				sc.strs[n] = d.S
+				n++
+			}
+		}
+		buf = sc.appendStrings(buf, sc.strs[:n])
+	default:
+		return nil, fmt.Errorf("storage: orc cannot encode kind %v", kind)
 	}
-	pos := used
+	sc.raw = buf
+	return buf, nil
+}
+
+// decodedColumn holds one column's decoded streams (the presence bitmap
+// plus the dense non-null value array) before row or batch
+// materialization. The batch path copies straight from these into
+// vec.Vector payloads, skipping per-row Datum construction entirely.
+// Its slices are reused from stripe to stripe.
+type decodedColumn struct {
+	kind    types.Kind
+	present []byte // bit set = value present
+	ints    []int64
+	floats  []float64
+	strs    []string
+	dict    []string // the dictionary of strs, when it has one
+	vi      int      // cursor into the dense value stream
+}
+
+func (dc *decodedColumn) isPresent(i int) bool {
+	return dc.present[i>>3]&(1<<(uint(i)&7)) != 0
+}
+
+// decodeStrings reverses appendStrings into dc.strs, returning the
+// bytes consumed; max bounds the declared count as in decodeInts. The
+// string bytes of a stream are copied out of buf once and every value
+// is a substring of that copy.
+func (dc *decodedColumn) decodeStrings(buf []byte, max int) (int, error) {
+	total, pos := binary.Uvarint(buf)
+	if pos <= 0 {
+		return 0, fmt.Errorf("storage: orc string count")
+	}
+	if total > uint64(max) {
+		return 0, fmt.Errorf("storage: orc string count %d exceeds %d rows", total, max)
+	}
+	dc.strs = resize(dc.strs, int(total))
 	if total == 0 {
-		return nil, pos, nil
+		return pos, nil
 	}
 	if pos >= len(buf) {
-		return nil, 0, fmt.Errorf("storage: orc string mode truncated")
+		return 0, fmt.Errorf("storage: orc string mode truncated")
 	}
 	mode := buf[pos]
 	pos++
-	out := make([]string, total)
 	switch mode {
 	case strDict:
 		dlen, n := binary.Uvarint(buf[pos:])
 		if n <= 0 {
-			return nil, 0, fmt.Errorf("storage: orc dict size")
+			return 0, fmt.Errorf("storage: orc dict size")
 		}
 		pos += n
-		dict := make([]string, dlen)
-		for i := range dict {
-			l, n := binary.Uvarint(buf[pos:])
-			if n <= 0 || pos+n+int(l) > len(buf) {
-				return nil, 0, fmt.Errorf("storage: orc dict entry")
-			}
-			pos += n
-			dict[i] = string(buf[pos : pos+int(l)])
-			pos += int(l)
+		// Every entry takes at least its length byte.
+		if dlen > uint64(len(buf)-pos) {
+			return 0, fmt.Errorf("storage: orc dict size %d exceeds stream", dlen)
 		}
-		for i := range out {
+		dc.dict = resize(dc.dict, int(dlen))
+		start := pos
+		for range dc.dict {
+			l, n := binary.Uvarint(buf[pos:])
+			if n <= 0 || l > uint64(len(buf)-pos-n) {
+				return 0, fmt.Errorf("storage: orc dict entry")
+			}
+			pos += n + int(l)
+		}
+		blob := string(buf[start:pos])
+		off := 0
+		for i := range dc.dict {
+			l, n := binary.Uvarint(buf[start+off:])
+			off += n
+			dc.dict[i] = blob[off : off+int(l)]
+			off += int(l)
+		}
+		for i := range dc.strs {
 			idx, n := binary.Uvarint(buf[pos:])
 			if n <= 0 || idx >= dlen {
-				return nil, 0, fmt.Errorf("storage: orc dict index")
+				return 0, fmt.Errorf("storage: orc dict index")
 			}
 			pos += n
-			out[i] = dict[idx]
+			dc.strs[i] = dc.dict[idx]
 		}
 	case strDirect:
-		lens := make([]int, total)
-		for i := range lens {
+		// The lengths precede the bytes: walk them once to find and
+		// bound the byte region, then again to cut it.
+		lens := pos
+		var size uint64
+		for range dc.strs {
 			l, n := binary.Uvarint(buf[pos:])
-			if n <= 0 {
-				return nil, 0, fmt.Errorf("storage: orc string length")
+			if n <= 0 || l > uint64(len(buf)) {
+				return 0, fmt.Errorf("storage: orc string length")
 			}
 			pos += n
-			lens[i] = int(l)
+			size += l
 		}
-		for i := range out {
-			if pos+lens[i] > len(buf) {
-				return nil, 0, fmt.Errorf("storage: orc string bytes truncated")
-			}
-			out[i] = string(buf[pos : pos+lens[i]])
-			pos += lens[i]
+		if size > uint64(len(buf)-pos) {
+			return 0, fmt.Errorf("storage: orc string bytes truncated")
+		}
+		blob := string(buf[pos : pos+int(size)])
+		pos += int(size)
+		off := 0
+		for i := range dc.strs {
+			l, n := binary.Uvarint(buf[lens:])
+			lens += n
+			dc.strs[i] = blob[off : off+int(l)]
+			off += int(l)
 		}
 	default:
-		return nil, 0, fmt.Errorf("storage: orc string mode %d", mode)
+		return 0, fmt.Errorf("storage: orc string mode %d", mode)
 	}
-	return out, pos, nil
+	return pos, nil
 }
 
-// encodeColumn produces the full column stream (presence + values).
-func encodeColumn(kind types.Kind, col []types.Datum) ([]byte, error) {
-	buf := appendPresence(nil, col)
-	switch kind {
-	case types.KindBool, types.KindInt, types.KindDate:
-		vals := make([]int64, 0, len(col))
-		for _, d := range col {
-			if !d.IsNull() {
-				vals = append(vals, d.I)
-			}
-		}
-		return appendInts(buf, vals), nil
-	case types.KindFloat:
-		vals := make([]float64, 0, len(col))
-		for _, d := range col {
-			if !d.IsNull() {
-				vals = append(vals, d.F)
-			}
-		}
-		return appendFloats(buf, vals), nil
-	case types.KindString:
-		vals := make([]string, 0, len(col))
-		for _, d := range col {
-			if !d.IsNull() {
-				vals = append(vals, d.S)
-			}
-		}
-		return appendStrings(buf, vals), nil
-	default:
-		return nil, fmt.Errorf("storage: orc cannot encode kind %v", kind)
-	}
-}
-
-// decodedColumn holds one column's raw decoded streams (presence flags
-// plus the dense non-null value array) before row or batch
-// materialization. The batch path copies straight from these into
-// vec.Vector payloads, skipping per-row Datum construction entirely.
-type decodedColumn struct {
-	kind    types.Kind
-	present []bool
-	ints    []int64
-	floats  []float64
-	strs    []string
-	vi      int // cursor into the dense value stream
-}
-
-// decodeColumnStreams reverses encodeColumn into raw streams.
-func decodeColumnStreams(kind types.Kind, buf []byte) (*decodedColumn, error) {
-	present, pos, err := decodePresence(buf)
+// decode reverses encodeColumn: it parses a stripe column of rows rows
+// from buf into dc, copying out everything it keeps.
+func (dc *decodedColumn) decode(kind types.Kind, buf []byte, rows int) error {
+	present, pos, err := decodePresence(buf, rows)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	dc := &decodedColumn{kind: kind, present: present}
+	dc.kind, dc.vi = kind, 0
+	dc.present = append(dc.present[:0], present...)
 	nPresent := 0
-	for _, p := range present {
-		if p {
-			nPresent++
-		}
+	for _, b := range present {
+		nPresent += bits.OnesCount8(b)
 	}
+	if tail := uint(rows) & 7; tail != 0 {
+		nPresent -= bits.OnesCount8(present[len(present)-1] >> tail)
+	}
+	var have int
 	switch kind {
 	case types.KindBool, types.KindInt, types.KindDate:
-		dc.ints, _, err = decodeInts(buf[pos:])
-		if err != nil {
-			return nil, err
-		}
-		if len(dc.ints) < nPresent {
-			return nil, fmt.Errorf("storage: orc int column short")
-		}
+		dc.ints, _, err = decodeInts(dc.ints, buf[pos:], rows)
+		have = len(dc.ints)
 	case types.KindFloat:
-		dc.floats, _, err = decodeFloats(buf[pos:])
-		if err != nil {
-			return nil, err
-		}
-		if len(dc.floats) < nPresent {
-			return nil, fmt.Errorf("storage: orc float column short")
-		}
+		dc.floats, _, err = decodeFloats(dc.floats, buf[pos:], rows)
+		have = len(dc.floats)
 	case types.KindString:
-		dc.strs, _, err = decodeStrings(buf[pos:])
-		if err != nil {
-			return nil, err
-		}
-		if len(dc.strs) < nPresent {
-			return nil, fmt.Errorf("storage: orc string column short")
-		}
+		_, err = dc.decodeStrings(buf[pos:], rows)
+		have = len(dc.strs)
 	default:
-		return nil, fmt.Errorf("storage: orc cannot decode kind %v", kind)
+		return fmt.Errorf("storage: orc cannot decode kind %v", kind)
 	}
-	return dc, nil
+	if err != nil {
+		return err
+	}
+	if have < nPresent {
+		return fmt.Errorf("storage: orc %v column short", kind)
+	}
+	return nil
 }
 
 // fillVector copies rows [row, row+n) into v. The ORC presence bit is
@@ -374,7 +454,7 @@ func (dc *decodedColumn) fillVector(v *vec.Vector, row, n int) {
 	switch dc.kind {
 	case types.KindBool, types.KindInt, types.KindDate:
 		for i := 0; i < n; i++ {
-			if dc.present[row+i] {
+			if dc.isPresent(row + i) {
 				v.I64[i] = dc.ints[dc.vi]
 				dc.vi++
 			} else {
@@ -383,7 +463,7 @@ func (dc *decodedColumn) fillVector(v *vec.Vector, row, n int) {
 		}
 	case types.KindFloat:
 		for i := 0; i < n; i++ {
-			if dc.present[row+i] {
+			if dc.isPresent(row + i) {
 				v.F64[i] = dc.floats[dc.vi]
 				dc.vi++
 			} else {
@@ -392,7 +472,7 @@ func (dc *decodedColumn) fillVector(v *vec.Vector, row, n int) {
 		}
 	case types.KindString:
 		for i := 0; i < n; i++ {
-			if dc.present[row+i] {
+			if dc.isPresent(row + i) {
 				v.Str[i] = dc.strs[dc.vi]
 				dc.vi++
 			} else {
@@ -402,61 +482,32 @@ func (dc *decodedColumn) fillVector(v *vec.Vector, row, n int) {
 	}
 }
 
-// decodeColumn reverses encodeColumn into a datum vector.
-func decodeColumn(kind types.Kind, buf []byte) ([]types.Datum, error) {
-	present, pos, err := decodePresence(buf)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]types.Datum, len(present))
-	switch kind {
+// fillDatums writes the whole column into dst, row i at dst[i*stride],
+// so that a stripe's columns interleave into one row-major slab. Null
+// rows are left as they are (the zero Datum is NULL).
+func (dc *decodedColumn) fillDatums(dst []types.Datum, stride, rows int) {
+	vi := 0
+	switch dc.kind {
 	case types.KindBool, types.KindInt, types.KindDate:
-		vals, _, err := decodeInts(buf[pos:])
-		if err != nil {
-			return nil, err
-		}
-		vi := 0
-		for i, p := range present {
-			if p {
-				if vi >= len(vals) {
-					return nil, fmt.Errorf("storage: orc int column short")
-				}
-				out[i] = types.Datum{K: kind, I: vals[vi]}
+		for i := 0; i < rows; i++ {
+			if dc.isPresent(i) {
+				dst[i*stride] = types.Datum{K: dc.kind, I: dc.ints[vi]}
 				vi++
 			}
 		}
 	case types.KindFloat:
-		vals, _, err := decodeFloats(buf[pos:])
-		if err != nil {
-			return nil, err
-		}
-		vi := 0
-		for i, p := range present {
-			if p {
-				if vi >= len(vals) {
-					return nil, fmt.Errorf("storage: orc float column short")
-				}
-				out[i] = types.Float(vals[vi])
+		for i := 0; i < rows; i++ {
+			if dc.isPresent(i) {
+				dst[i*stride] = types.Float(dc.floats[vi])
 				vi++
 			}
 		}
 	case types.KindString:
-		vals, _, err := decodeStrings(buf[pos:])
-		if err != nil {
-			return nil, err
-		}
-		vi := 0
-		for i, p := range present {
-			if p {
-				if vi >= len(vals) {
-					return nil, fmt.Errorf("storage: orc string column short")
-				}
-				out[i] = types.String(vals[vi])
+		for i := 0; i < rows; i++ {
+			if dc.isPresent(i) {
+				dst[i*stride] = types.String(dc.strs[vi])
 				vi++
 			}
 		}
-	default:
-		return nil, fmt.Errorf("storage: orc cannot decode kind %v", kind)
 	}
-	return out, nil
 }

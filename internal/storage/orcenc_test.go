@@ -19,7 +19,7 @@ func TestIntRLERoundTrip(t *testing.T) {
 	}
 	for i, vals := range cases {
 		buf := appendInts(nil, vals)
-		got, n, err := decodeInts(buf)
+		got, n, err := decodeInts(nil, buf, len(vals))
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -51,7 +51,7 @@ func TestIntRLECompressesRuns(t *testing.T) {
 func TestIntRLEProperty(t *testing.T) {
 	f := func(vals []int64) bool {
 		buf := appendInts(nil, vals)
-		got, _, err := decodeInts(buf)
+		got, _, err := decodeInts(nil, buf, len(vals))
 		if err != nil || len(got) != len(vals) {
 			return false
 		}
@@ -72,15 +72,16 @@ func TestStringDictionaryChosenForLowCardinality(t *testing.T) {
 	for i := range vals {
 		vals[i] = []string{"aa", "bb", "cc"}[i%3]
 	}
-	buf := appendStrings(nil, vals)
+	buf := new(encScratch).appendStrings(nil, vals)
 	// The mode byte follows the uvarint count (1000 -> 2 bytes).
 	if buf[2] != strDict {
 		t.Error("low-cardinality strings should use dictionary encoding")
 	}
-	got, _, err := decodeStrings(buf)
-	if err != nil {
+	var dc decodedColumn
+	if _, err := dc.decodeStrings(buf, len(vals)); err != nil {
 		t.Fatal(err)
 	}
+	got := dc.strs
 	for i := range vals {
 		if got[i] != vals[i] {
 			t.Fatalf("value %d mismatch", i)
@@ -96,14 +97,15 @@ func TestStringDirectChosenForHighCardinality(t *testing.T) {
 		r.Read(b)
 		vals[i] = string(b)
 	}
-	buf := appendStrings(nil, vals)
+	buf := new(encScratch).appendStrings(nil, vals)
 	if buf[2] != strDirect && buf[1] != strDirect {
 		t.Error("unique strings should use direct encoding")
 	}
-	got, _, err := decodeStrings(buf)
-	if err != nil {
+	var dc decodedColumn
+	if _, err := dc.decodeStrings(buf, len(vals)); err != nil {
 		t.Fatal(err)
 	}
+	got := dc.strs
 	for i := range vals {
 		if got[i] != vals[i] {
 			t.Fatalf("value %d mismatch", i)
@@ -113,8 +115,10 @@ func TestStringDirectChosenForHighCardinality(t *testing.T) {
 
 func TestStringsProperty(t *testing.T) {
 	f := func(vals []string) bool {
-		buf := appendStrings(nil, vals)
-		got, _, err := decodeStrings(buf)
+		buf := new(encScratch).appendStrings(nil, vals)
+		var dc decodedColumn
+		_, err := dc.decodeStrings(buf, len(vals))
+		got := dc.strs
 		if err != nil || len(got) != len(vals) {
 			return false
 		}
@@ -133,7 +137,7 @@ func TestStringsProperty(t *testing.T) {
 func TestFloatsRoundTrip(t *testing.T) {
 	vals := []float64{0, -1.5, 3.14159, 1e300, -1e-300}
 	buf := appendFloats(nil, vals)
-	got, n, err := decodeFloats(buf)
+	got, n, err := decodeFloats(nil, buf, len(vals))
 	if err != nil || n != len(buf) {
 		t.Fatalf("decode: %v (n=%d)", err, n)
 	}
@@ -151,17 +155,21 @@ func TestPresenceBitmap(t *testing.T) {
 		types.Int(7), types.Int(8), types.Int(9), // crosses byte boundary
 	}
 	buf := appendPresence(nil, col)
-	present, _, err := decodePresence(buf)
+	present, used, err := decodePresence(buf, len(col))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(present) != len(col) {
-		t.Fatalf("presence length %d, want %d", len(present), len(col))
+	if used != len(buf) || len(present) != 2 {
+		t.Fatalf("presence used %d of %d bytes, %d bitmap bytes", used, len(buf), len(present))
 	}
+	dc := decodedColumn{present: present}
 	for i, d := range col {
-		if present[i] != !d.IsNull() {
-			t.Errorf("presence[%d] = %v", i, present[i])
+		if dc.isPresent(i) != !d.IsNull() {
+			t.Errorf("presence[%d] = %v", i, dc.isPresent(i))
 		}
+	}
+	if _, _, err := decodePresence(buf, len(col)+1); err == nil {
+		t.Error("presence count that disagrees with the stripe's rows should fail")
 	}
 }
 
@@ -175,17 +183,16 @@ func TestColumnRoundTripWithNulls(t *testing.T) {
 		types.KindBool:  {types.Bool(true), types.Null(), types.Bool(false)},
 	}
 	for kind, col := range cols {
-		buf, err := encodeColumn(kind, col)
+		buf, err := encodeColumn(new(encScratch), kind, col)
 		if err != nil {
 			t.Fatalf("%v encode: %v", kind, err)
 		}
-		got, err := decodeColumn(kind, buf)
-		if err != nil {
+		var dc decodedColumn
+		if err := dc.decode(kind, buf, len(col)); err != nil {
 			t.Fatalf("%v decode: %v", kind, err)
 		}
-		if len(got) != len(col) {
-			t.Fatalf("%v: %d values, want %d", kind, len(got), len(col))
-		}
+		got := make([]types.Datum, len(col))
+		dc.fillDatums(got, 1, len(col))
 		for i := range col {
 			if col[i].IsNull() != got[i].IsNull() {
 				t.Errorf("%v[%d] null mismatch", kind, i)
@@ -198,15 +205,15 @@ func TestColumnRoundTripWithNulls(t *testing.T) {
 }
 
 func TestDecodeCorruption(t *testing.T) {
-	if _, _, err := decodeInts([]byte{}); err == nil {
+	if _, _, err := decodeInts(nil, []byte{}, 8); err == nil {
 		t.Error("empty int stream should fail")
 	}
 	good := appendInts(nil, []int64{1, 2, 3, 4, 5, 6, 7, 8})
-	if _, _, err := decodeInts(good[:len(good)-2]); err == nil {
+	if _, _, err := decodeInts(nil, good[:len(good)-2], 8); err == nil {
 		t.Error("truncated int stream should fail")
 	}
-	goodS := appendStrings(nil, []string{"hello", "world"})
-	if _, _, err := decodeStrings(goodS[:len(goodS)-3]); err == nil {
+	goodS := new(encScratch).appendStrings(nil, []string{"hello", "world"})
+	if _, err := new(decodedColumn).decodeStrings(goodS[:len(goodS)-3], 2); err == nil {
 		t.Error("truncated string stream should fail")
 	}
 }

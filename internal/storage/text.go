@@ -17,6 +17,7 @@ type textWriter struct {
 	w      io.WriteCloser
 	bw     *bufio.Writer
 	schema *types.Schema
+	line   []byte // the row being rendered, reused
 }
 
 func newTextWriter(w io.WriteCloser, schema *types.Schema) *textWriter {
@@ -27,10 +28,9 @@ func (t *textWriter) Write(row types.Row) error {
 	if len(row) != t.schema.Len() {
 		return fmt.Errorf("storage: text row has %d columns, schema %d", len(row), t.schema.Len())
 	}
-	if _, err := t.bw.WriteString(row.Text(TextDelim)); err != nil {
-		return err
-	}
-	return t.bw.WriteByte('\n')
+	t.line = append(row.AppendText(t.line[:0], TextDelim), '\n')
+	_, err := t.bw.Write(t.line)
+	return err
 }
 
 func (t *textWriter) Close() error {

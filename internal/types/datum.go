@@ -99,7 +99,7 @@ func Date(days int64) Datum { return Datum{K: KindDate, I: days} }
 
 // DateFromString parses "YYYY-MM-DD" into a date datum.
 func DateFromString(s string) (Datum, error) {
-	t, err := time.Parse("2006-01-02", s)
+	t, err := time.Parse(dateLayout, s)
 	if err != nil {
 		return Datum{}, fmt.Errorf("parse date %q: %w", s, err)
 	}
@@ -148,29 +148,45 @@ func (d Datum) Str() string {
 
 // DateString renders a date datum as YYYY-MM-DD.
 func (d Datum) DateString() string {
-	return time.Unix(d.I*86400, 0).UTC().Format("2006-01-02")
+	var buf [len(dateLayout)]byte
+	return string(d.appendDate(buf[:0]))
+}
+
+const dateLayout = "2006-01-02"
+
+func (d Datum) appendDate(dst []byte) []byte {
+	return time.Unix(d.I*86400, 0).UTC().AppendFormat(dst, dateLayout)
 }
 
 // Text renders the datum the way Hive's text serde would.
 func (d Datum) Text() string {
+	if d.K == KindString {
+		return d.S
+	}
+	var buf [32]byte
+	return string(d.AppendText(buf[:0]))
+}
+
+// AppendText appends the datum's Text rendering to dst.
+func (d Datum) AppendText(dst []byte) []byte {
 	switch d.K {
 	case KindNull:
-		return `\N`
+		return append(dst, `\N`...)
 	case KindBool:
 		if d.I != 0 {
-			return "true"
+			return append(dst, "true"...)
 		}
-		return "false"
+		return append(dst, "false"...)
 	case KindInt:
-		return strconv.FormatInt(d.I, 10)
+		return strconv.AppendInt(dst, d.I, 10)
 	case KindFloat:
-		return strconv.FormatFloat(d.F, 'g', -1, 64)
+		return strconv.AppendFloat(dst, d.F, 'g', -1, 64)
 	case KindString:
-		return d.S
+		return append(dst, d.S...)
 	case KindDate:
-		return d.DateString()
+		return d.appendDate(dst)
 	default:
-		return fmt.Sprintf("?%d", d.K)
+		return strconv.AppendUint(append(dst, '?'), uint64(d.K), 10)
 	}
 }
 

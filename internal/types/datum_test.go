@@ -85,11 +85,30 @@ func TestTextRendering(t *testing.T) {
 		{Float(1.5), "1.5"},
 		{String("hello"), "hello"},
 		{MustDate("1995-03-15"), "1995-03-15"},
+		{Float(1e21), "1e+21"},
+		{Float(0.1), "0.1"},
+		{Date(-1), "1969-12-31"},
+		{Datum{K: Kind(9)}, "?9"},
 	}
-	for _, c := range cases {
+	var row Row
+	var want []byte
+	for i, c := range cases {
 		if got := c.d.Text(); got != c.want {
 			t.Errorf("Text(%v) = %q, want %q", c.d, got, c.want)
 		}
+		if got := string(c.d.AppendText([]byte("x="))); got != "x="+c.want {
+			t.Errorf("AppendText(%v) = %q, want %q", c.d, got, "x="+c.want)
+		}
+		if i > 0 {
+			want = append(want, '|')
+		}
+		row, want = append(row, c.d), append(want, c.want...)
+	}
+	if got := row.Text('|'); got != string(want) {
+		t.Errorf("Row.Text = %q, want %q", got, want)
+	}
+	if got := string(row.AppendText([]byte("r:"), '|')); got != "r:"+string(want) {
+		t.Errorf("Row.AppendText = %q, want %q", got, "r:"+string(want))
 	}
 }
 

@@ -17,14 +17,18 @@ func (r Row) Clone() Row {
 
 // Text renders the row with the classic Hive field delimiter.
 func (r Row) Text(delim byte) string {
-	var sb strings.Builder
+	return string(r.AppendText(nil, delim))
+}
+
+// AppendText appends the row's Text rendering to dst.
+func (r Row) AppendText(dst []byte, delim byte) []byte {
 	for i, d := range r {
 		if i > 0 {
-			sb.WriteByte(delim)
+			dst = append(dst, delim)
 		}
-		sb.WriteString(d.Text())
+		dst = d.AppendText(dst)
 	}
-	return sb.String()
+	return dst
 }
 
 // Column describes one column of a table or intermediate result.
