@@ -81,7 +81,7 @@ BUNDLE_DIR ?= bundles
 bundles:
 	$(GO) run ./cmd/benchsuite -quick -exp skew -bundle $(BUNDLE_DIR)
 
-# benchdiff re-runs the shuffle and vectorized microbenchmarks and
+# benchdiff re-runs the shuffle and map-side batch microbenchmarks and
 # compares them to the committed BENCH_shuffle.json / BENCH_vec.json
 # baselines; it fails on a ns/op regression past BENCH_TOL (or
 # allocs/op growth past 2%). CI runs this blocking at the default 10%; label a

@@ -6,17 +6,13 @@
 //
 //	hiveql [-engine hadoop|datampi] [-dataset tpch|hibench|none]
 //	       [-size GB] [-format textfile|sequencefile|orc] [-f script.sql]
-//	       [-explain] [-analyze] [-vectorized] [-adaptive]
+//	       [-explain] [-analyze] [-adaptive]
 //	       [-mapjoin-threshold bytes] [-comm report.json] [-heatmap]
 //
 // -analyze wraps each statement in EXPLAIN ANALYZE: the statement
 // executes and the plan is printed annotated with per-stage rows,
 // bytes, virtual seconds and engine (plus the counter snapshot).
 // EXPLAIN ANALYZE also works typed directly at the prompt.
-//
-// -vectorized routes map tasks through the columnar batch pipeline
-// (hive.exec.vectorized); output is byte-identical to row mode and
-// -analyze shows the per-stage batch counts.
 //
 // -adaptive turns on the skew-adaptive runtime (internal/adapt):
 // observed partition histograms from completed stages repartition
@@ -72,7 +68,6 @@ func run(args []string) error {
 	format := fs.String("format", "textfile", "table format: textfile, sequencefile or orc")
 	script := fs.String("f", "", "script file to execute (default: interactive)")
 	explain := fs.Bool("explain", false, "print the plan for each statement instead of running it")
-	vectorized := fs.Bool("vectorized", false, "columnar batch execution (hive.exec.vectorized); output is byte-identical to row mode")
 	adaptive := fs.Bool("adaptive", false, "skew-adaptive runtime: observed partition histograms repartition downstream skewed stages (output stays byte-identical)")
 	mapJoinThreshold := fs.Int64("mapjoin-threshold", 0, "map-join small-table cutoff in bytes, hive.mapjoin.smalltable.filesize (0 = default 256KB; 1 forces shuffle joins)")
 	analyze := fs.Bool("analyze", false, "run each statement and print its runtime-annotated plan (EXPLAIN ANALYZE)")
@@ -100,7 +95,6 @@ func run(args []string) error {
 	})}
 	conf := exec.DefaultEngineConf()
 	conf.SpillDir = os.TempDir()
-	conf.Vectorized = *vectorized
 	d := hive.NewDriver(env, engine, conf)
 	d.AdaptiveSkew = *adaptive
 	d.MapJoinThresholdBytes = *mapJoinThreshold

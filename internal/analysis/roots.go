@@ -47,15 +47,15 @@ var CtxLeakPackages = []string{"hive", "core", "datampi"}
 // HotRootPackages contribute every declared function as a hot-path
 // root for metricshot and hotalloc: the shuffle library, the kv wire
 // format, and the columnar batch layer (vec runs per batch inside
-// every vectorized operator). These are exactly the packages whose
+// every map-side operator). These are exactly the packages whose
 // alloc budgets are committed in BENCH_shuffle.json / BENCH_vec.json.
 var HotRootPackages = []string{"kvio", "datampi", "vec"}
 
 // HotRootMethods are individual hot entry points outside those
 // packages, keyed by internal package name, then receiver type name
 // ("" for free functions): the dfs per-I/O paths and the plan cache's
-// per-statement lookup/insert path in hive, and the storage codec's
-// per-row, per-stream and per-stripe paths.
+// per-statement lookup/insert path in hive, the storage codec's
+// per-row, per-stream and per-stripe paths, and the map-side executor.
 var HotRootMethods = map[string]map[string][]string{
 	"dfs": {
 		"Writer": {"Write"},
@@ -70,11 +70,17 @@ var HotRootMethods = map[string]map[string][]string{
 	// end-to-end workloads (benchmarks/e2e): their steady state is
 	// allocation per stripe, not per row or per stream.
 	"storage": {
-		"orcWriter":      {"Write", "flushStripe"},
-		"orcSplitReader": {"Next", "NextBatch", "loadStripe", "loadStripeVec", "readColumnStream"},
-		"textWriter":     {"Write"},
-		"decodedColumn":  {"decode", "fillDatums", "fillVector"},
-		"":               {"encodeColumn"},
+		"orcWriter":       {"Write", "flushStripe"},
+		"orcSplitReader":  {"Next", "NextBatch", "loadStripe", "loadStripeVec", "readColumnStream"},
+		"textWriter":      {"Write"},
+		"decodedColumn":   {"decode", "fillDatums", "fillVector"},
+		"rowBatchAdapter": {"NextBatch"},
+		"":                {"encodeColumn"},
+	},
+	// RunMapTask is the only map-side executor: every operator, kernel
+	// and terminal it builds runs per batch or per lane of every scan.
+	"exec": {
+		"": {"RunMapTask"},
 	},
 	// bundle.categorize runs per stage on every bundle capture and
 	// inside the benchdiff attribution path; keeping it alloc- and

@@ -5,17 +5,17 @@ import (
 	"sort"
 	"strings"
 
-	"hivempi/internal/exec"
-	"hivempi/internal/hive"
 	"hivempi/internal/metrics"
+	"hivempi/internal/perfmodel"
 	"hivempi/internal/tpch"
 )
 
 // VectorizedResult is the `-exp vec` report: per-query simulated
-// runtimes row vs vectorized (hive.exec.vectorized) on ORC, plus the
-// compiled-plan cache's effect on a repeated statement.
+// runtimes of one execution on ORC under the paper's row-mode Hive and
+// under a Hive with vectorized map operators (hive.exec.vectorized),
+// plus the compiled-plan cache's effect on a repeated statement.
 type VectorizedResult struct {
-	// Rows maps "Q<n>" -> (row-mode seconds, vectorized seconds).
+	// Rows maps "Q<n>" -> (row-model seconds, vectorized-model seconds).
 	Rows map[string][2]float64
 
 	// Plan cache: compile seconds charged to the first and the repeat
@@ -31,39 +31,39 @@ type VectorizedResult struct {
 // (selective scan), Q12 (join + case aggregation).
 var vecQueries = []int{1, 3, 6, 12}
 
-// Vectorized runs the vectorized-execution experiment at 20 GB ORC.
+// Vectorized runs the vectorized-execution ablation at 20 GB ORC: each
+// query executes once and its trace is simulated twice, with and
+// without perfmodel's measured per-record CPU factor.
 func (r *Runner) Vectorized() (*VectorizedResult, error) {
 	out := &VectorizedResult{Rows: map[string][2]float64{}}
 	cl, err := r.loadTPCH(20, "orc")
 	if err != nil {
 		return nil, err
 	}
+	rowModel := r.cfg.Params
+	vecModel := r.cfg.Params
+	vecModel.VectorizedCPUFactor = perfmodel.MeasuredVectorizedCPUFactor
 	for _, q := range vecQueries {
 		script, err := tpch.Query(q)
 		if err != nil {
 			return nil, err
 		}
-		row := r.driver(cl, "datampi", nil)
-		rowT, err := r.simOne(row, script)
-		if err != nil {
+		d := r.driver(cl, "datampi", nil)
+		if _, err := d.Run(script); err != nil {
 			return nil, err
 		}
-		vec := r.driver(cl, "datampi", func(c *exec.EngineConf) { c.Vectorized = true })
-		vecT, err := r.simOne(vec, script)
-		if err != nil {
-			return nil, err
-		}
-		out.Rows[fmt.Sprintf("Q%d", q)] = [2]float64{rowT, vecT}
+		qs := d.Collector.Queries()
+		out.Rows[fmt.Sprintf("Q%d", q)] = [2]float64{
+			rowModel.SimulateQueries(qs), vecModel.SimulateQueries(qs)}
 	}
 
 	// Plan cache: the same statement twice on one driver. The repeat
 	// must hit the cache — no parse/plan, zero compile in the model.
-	d := r.driver(cl, "datampi", func(c *exec.EngineConf) { c.Vectorized = true })
+	d := r.driver(cl, "datampi", nil)
 	q1, err := tpch.Query(1)
 	if err != nil {
 		return nil, err
 	}
-	d.Collector.Reset()
 	if _, err := d.Run(q1); err != nil {
 		return nil, err
 	}
@@ -80,16 +80,6 @@ func (r *Runner) Vectorized() (*VectorizedResult, error) {
 		out.CacheMisses = cl.env.Metrics.Counter(metrics.CtrPlanCacheMisses).Value()
 	}
 	return out, nil
-}
-
-// simOne runs one statement on a fresh collector and returns its
-// simulated wall time.
-func (r *Runner) simOne(d *hive.Driver, script string) (float64, error) {
-	d.Collector.Reset()
-	if _, err := d.Run(script); err != nil {
-		return 0, err
-	}
-	return r.cfg.Params.SimulateQueries(d.Collector.Queries()), nil
 }
 
 func (v *VectorizedResult) String() string {

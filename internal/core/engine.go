@@ -259,7 +259,6 @@ func (e *Engine) Run(env *exec.Env, stage *exec.Stage, conf exec.EngineConf) (*e
 			MemUsedPercent: conf.MemUsedPercent,
 			SendQueueSize:  conf.SendQueueSize,
 			LaunchCommand:  cmdline,
-			Vectorized:     conf.Vectorized,
 		}
 		if ad != nil {
 			st.AdaptSplit = ad.SplitParts
@@ -426,11 +425,10 @@ func (e *Engine) runMapOnly(env *exec.Env, stage *exec.Stage, conf exec.EngineCo
 		}
 	}
 	st := &trace.Stage{
-		Name:       stage.ID,
-		Engine:     e.Name(),
-		NumMaps:    len(tasks),
-		Producers:  taskMetrics,
-		Vectorized: conf.Vectorized,
+		Name:      stage.ID,
+		Engine:    e.Name(),
+		NumMaps:   len(tasks),
+		Producers: taskMetrics,
 	}
 	for i, m := range st.Producers {
 		m.LocalRead = tasks[i].Local

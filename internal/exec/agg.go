@@ -58,10 +58,8 @@ func (s AggSpec) PartialWidth() int {
 // AggState accumulates one aggregate for one group.
 type AggState struct {
 	spec  AggSpec
-	sum   types.Datum
+	acc   types.Datum // running sum (sum, avg), minimum or maximum
 	count int64
-	minv  types.Datum
-	maxv  types.Datum
 	set   map[string]struct{} // distinct values, keyed by encoded datum
 }
 
@@ -87,20 +85,6 @@ func addNumeric(acc, d types.Datum) types.Datum {
 	return types.Float(acc.Float() + d.Float())
 }
 
-// Update folds one raw input row into the state.
-func (st *AggState) Update(row types.Row) error {
-	if st.spec.Kind == AggCountStar {
-		st.count++
-		return nil
-	}
-	d, err := st.spec.Arg.Eval(row)
-	if err != nil {
-		return err
-	}
-	st.UpdateDatum(d)
-	return nil
-}
-
 // UpdateDatum folds one already-evaluated argument value.
 func (st *AggState) UpdateDatum(d types.Datum) {
 	if st.spec.Kind == AggCountStar {
@@ -119,19 +103,19 @@ func (st *AggState) UpdateDatum(d types.Datum) {
 	}
 	switch st.spec.Kind {
 	case AggSum:
-		st.sum = addNumeric(st.sum, d)
+		st.acc = addNumeric(st.acc, d)
 	case AggCount:
 		st.count++
 	case AggAvg:
-		st.sum = addNumeric(st.sum, d)
+		st.acc = addNumeric(st.acc, d)
 		st.count++
 	case AggMin:
-		if st.minv.IsNull() || types.Compare(d, st.minv) < 0 {
-			st.minv = d
+		if st.acc.IsNull() || types.Compare(d, st.acc) < 0 {
+			st.acc = d
 		}
 	case AggMax:
-		if st.maxv.IsNull() || types.Compare(d, st.maxv) > 0 {
-			st.maxv = d
+		if st.acc.IsNull() || types.Compare(d, st.acc) > 0 {
+			st.acc = d
 		}
 	}
 }
@@ -141,16 +125,12 @@ func (st *AggState) UpdateDatum(d types.Datum) {
 // ships raw values instead and the reducer runs in complete mode.
 func (st *AggState) EmitPartial() []types.Datum {
 	switch st.spec.Kind {
-	case AggSum:
-		return []types.Datum{st.sum}
+	case AggSum, AggMin, AggMax:
+		return []types.Datum{st.acc}
 	case AggCount, AggCountStar:
 		return []types.Datum{types.Int(st.count)}
 	case AggAvg:
-		return []types.Datum{st.sum, types.Int(st.count)}
-	case AggMin:
-		return []types.Datum{st.minv}
-	case AggMax:
-		return []types.Datum{st.maxv}
+		return []types.Datum{st.acc, types.Int(st.count)}
 	default:
 		return []types.Datum{types.Null()}
 	}
@@ -164,22 +144,22 @@ func (st *AggState) MergePartial(part []types.Datum) error {
 	switch st.spec.Kind {
 	case AggSum:
 		if !part[0].IsNull() {
-			st.sum = addNumeric(st.sum, part[0])
+			st.acc = addNumeric(st.acc, part[0])
 		}
 	case AggCount, AggCountStar:
 		st.count += part[0].Int()
 	case AggAvg:
 		if !part[0].IsNull() {
-			st.sum = addNumeric(st.sum, part[0])
+			st.acc = addNumeric(st.acc, part[0])
 		}
 		st.count += part[1].Int()
 	case AggMin:
-		if !part[0].IsNull() && (st.minv.IsNull() || types.Compare(part[0], st.minv) < 0) {
-			st.minv = part[0]
+		if !part[0].IsNull() && (st.acc.IsNull() || types.Compare(part[0], st.acc) < 0) {
+			st.acc = part[0]
 		}
 	case AggMax:
-		if !part[0].IsNull() && (st.maxv.IsNull() || types.Compare(part[0], st.maxv) > 0) {
-			st.maxv = part[0]
+		if !part[0].IsNull() && (st.acc.IsNull() || types.Compare(part[0], st.acc) > 0) {
+			st.acc = part[0]
 		}
 	default:
 		return fmt.Errorf("exec: merge of %v", st.spec.Kind)
@@ -190,19 +170,15 @@ func (st *AggState) MergePartial(part []types.Datum) error {
 // Final produces the aggregate's result value.
 func (st *AggState) Final() types.Datum {
 	switch st.spec.Kind {
-	case AggSum:
-		return st.sum
+	case AggSum, AggMin, AggMax:
+		return st.acc
 	case AggCount, AggCountStar:
 		return types.Int(st.count)
 	case AggAvg:
 		if st.count == 0 {
 			return types.Null()
 		}
-		return types.Float(st.sum.Float() / float64(st.count))
-	case AggMin:
-		return st.minv
-	case AggMax:
-		return st.maxv
+		return types.Float(st.acc.Float() / float64(st.count))
 	default:
 		return types.Null()
 	}

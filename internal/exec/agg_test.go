@@ -21,11 +21,8 @@ func TestAggSumCountAvgMinMax(t *testing.T) {
 	}
 	inputs := []types.Datum{types.Int(4), types.Int(2), types.Null(), types.Int(6)}
 	for _, d := range inputs {
-		row := types.Row{d}
 		for _, st := range states {
-			if err := st.Update(row); err != nil {
-				t.Fatal(err)
-			}
+			st.UpdateDatum(d)
 		}
 	}
 	wants := []string{"12", "3", "4", "4", "2", "6"}
@@ -48,9 +45,7 @@ func TestAggPartialMergeEqualsDirect(t *testing.T) {
 	for _, spec := range specs {
 		direct := NewAggState(spec)
 		for _, v := range vals {
-			if err := direct.Update(types.Row{types.Int(v)}); err != nil {
-				t.Fatal(err)
-			}
+			direct.UpdateDatum(types.Int(v))
 		}
 		// Split into two partials and merge.
 		p1, p2 := NewAggState(spec), NewAggState(spec)
@@ -59,9 +54,7 @@ func TestAggPartialMergeEqualsDirect(t *testing.T) {
 			if i%2 == 1 {
 				st = p2
 			}
-			if err := st.Update(types.Row{types.Int(v)}); err != nil {
-				t.Fatal(err)
-			}
+			st.UpdateDatum(types.Int(v))
 		}
 		merged := NewAggState(spec)
 		if err := merged.MergePartial(p1.EmitPartial()); err != nil {
@@ -79,18 +72,14 @@ func TestAggPartialMergeEqualsDirect(t *testing.T) {
 func TestAggDistinct(t *testing.T) {
 	st := NewAggState(AggSpec{Kind: AggCount, Arg: col(0), Distinct: true})
 	for _, v := range []int64{1, 2, 2, 3, 3, 3} {
-		if err := st.Update(types.Row{types.Int(v)}); err != nil {
-			t.Fatal(err)
-		}
+		st.UpdateDatum(types.Int(v))
 	}
 	if got := st.Final().Int(); got != 3 {
 		t.Errorf("count(distinct) = %d, want 3", got)
 	}
 	sum := NewAggState(AggSpec{Kind: AggSum, Arg: col(0), Distinct: true})
 	for _, v := range []int64{5, 5, 7} {
-		if err := sum.Update(types.Row{types.Int(v)}); err != nil {
-			t.Fatal(err)
-		}
+		sum.UpdateDatum(types.Int(v))
 	}
 	if got := sum.Final().Int(); got != 12 {
 		t.Errorf("sum(distinct) = %d, want 12", got)

@@ -125,36 +125,12 @@ func benchAggOps() []MapOp {
 	}}
 }
 
-func BenchmarkGroupByPartialRow(b *testing.B) {
-	batch := benchExecBatch(vec.DefaultSize)
-	rows := make([]types.Row, batch.N)
-	for i := range rows {
-		rows[i] = batch.Row(i, nil)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c, err := buildChain(nil, benchAggOps(), func(types.Row) error { return nil })
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if err := c.process(r); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := c.close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGroupByPartialVec(b *testing.B) {
+func BenchmarkGroupByPartial(b *testing.B) {
 	batch := benchExecBatch(vec.DefaultSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := buildVecChain(nil, benchAggOps(), func(*vec.Batch) error { return nil })
+		c, err := buildChain(nil, benchAggOps(), func(*vec.Batch) error { return nil })
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -54,9 +54,6 @@ type EngineConf struct {
 	// DisableSpeculation turns off speculative re-launch of straggler
 	// tasks (the zero value keeps speculation on).
 	DisableSpeculation bool
-	// Vectorized routes map tasks through the columnar batch pipeline
-	// (hive.exec.vectorized). Output is byte-identical to row mode.
-	Vectorized bool
 	// Adaptation, when non-nil, is the skew-adaptive rewrite of this
 	// stage's shuffle geometry computed by internal/adapt from the
 	// producer's observed partition statistics (nil = planned geometry).

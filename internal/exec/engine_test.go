@@ -5,6 +5,7 @@ import (
 
 	"hivempi/internal/dfs"
 	"hivempi/internal/storage"
+	"hivempi/internal/trace"
 	"hivempi/internal/types"
 )
 
@@ -119,30 +120,59 @@ func TestBuildTaskOutputSinkAndCollect(t *testing.T) {
 	}
 }
 
-func TestEvalKeyAndValueRoundTrip(t *testing.T) {
-	row := types.Row{types.Int(7), types.String("x"), types.Float(1.5)}
-	keys := []Expr{&ColRef{Idx: 0}, &ColRef{Idx: 1}}
-	key, err := evalKey(keys, []bool{false, true}, row)
+// TestShuffleKeyAndValueRoundTrip: the pair a map task emits decodes
+// back, through the key and value codecs the reduce side uses, to the
+// evaluated key columns (honouring the shuffle's sort directions) and
+// the tagged value row.
+func TestShuffleKeyAndValueRoundTrip(t *testing.T) {
+	env := testEnv(t)
+	schema := types.NewSchema(types.Col("i", types.KindInt),
+		types.Col("s", types.KindString), types.Col("f", types.KindFloat))
+	in := writeTable(t, env, "/kv", schema, []types.Row{
+		{types.Int(7), types.String("x"), types.Float(1.5)},
+		{types.Null(), types.String("y"), types.Null()},
+	})
+	stage := &Stage{
+		ID: "kv",
+		Maps: []MapWork{{
+			Input:  in,
+			Tag:    3,
+			Keys:   []Expr{&ColRef{Idx: 0}, &ColRef{Idx: 1}},
+			Values: []Expr{&ColRef{Idx: 2}},
+		}},
+		Shuffle: &ShuffleSpec{SortDescs: []bool{false, true}},
+	}
+	var keys, vals [][]byte
+	var m trace.Task
+	err := RunMapTask(env, EngineConf{}, stage, 0, wholeSplit(t, env, "/kv"),
+		func(k, v []byte) error {
+			keys, vals = append(keys, k), append(vals, v)
+			return nil
+		}, nil, &m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Decode back through the key codec.
-	d0, n, err := types.DecodeKeyDatum(key, types.KindInt, false)
-	if err != nil || d0.Int() != 7 {
-		t.Fatalf("key col0 = %v, %v", d0, err)
+	if len(keys) != 2 || m.InputRecords != 2 || m.OutputRecords != 2 || m.Batches != 1 ||
+		m.OutputBytes != int64(len(keys[0])+len(vals[0])+len(keys[1])+len(vals[1])) {
+		t.Fatalf("emitted %d pairs, task counters %+v", len(keys), m)
 	}
-	d1, _, err := types.DecodeKeyDatum(key[n:], types.KindString, true)
-	if err != nil || d1.Str() != "x" {
-		t.Fatalf("key col1 = %v, %v", d1, err)
+	want := [][3]types.Datum{
+		{types.Int(7), types.String("x"), types.Float(1.5)},
+		{types.Null(), types.String("y"), types.Null()},
 	}
-
-	val, err := evalValue(3, []Expr{&ColRef{Idx: 2}}, row)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tag, vrow, err := decodeValue(val)
-	if err != nil || tag != 3 || vrow[0].Float() != 1.5 {
-		t.Fatalf("value round trip: tag=%d row=%v err=%v", tag, vrow, err)
+	for i, w := range want {
+		d0, n, err := types.DecodeKeyDatum(keys[i], types.KindInt, false)
+		if err != nil || d0 != w[0] {
+			t.Fatalf("pair %d key col0 = %v, %v", i, d0, err)
+		}
+		d1, _, err := types.DecodeKeyDatum(keys[i][n:], types.KindString, true)
+		if err != nil || d1 != w[1] {
+			t.Fatalf("pair %d key col1 = %v, %v", i, d1, err)
+		}
+		tag, vrow, err := decodeValue(vals[i])
+		if err != nil || tag != 3 || len(vrow) != 1 || vrow[0] != w[2] {
+			t.Fatalf("pair %d value round trip: tag=%d row=%v err=%v", i, tag, vrow, err)
+		}
 	}
 }
 

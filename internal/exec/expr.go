@@ -108,9 +108,8 @@ func (b *BinOp) Eval(row types.Row) (types.Datum, error) {
 }
 
 // binOpDatums applies op to two evaluated operands. It is the single
-// scalar implementation shared by row-mode Eval and the vectorized
-// kernels' mixed-kind lanes, so both paths are bit-identical by
-// construction.
+// scalar implementation shared by Eval and the batch kernels'
+// mixed-kind lanes, so the two are bit-identical by construction.
 func binOpDatums(op BinOpKind, l, r types.Datum) (types.Datum, error) {
 	if l.IsNull() || r.IsNull() {
 		return types.Null(), nil
@@ -210,7 +209,7 @@ func (c *Cmp) Eval(row types.Row) (types.Datum, error) {
 }
 
 // cmpDatums compares two evaluated operands with SQL NULL semantics —
-// the shared scalar core of Cmp.Eval and the vectorized comparison
+// the shared scalar core of Cmp.Eval and the batch comparison
 // kernels' mixed-kind lanes.
 func cmpDatums(op CmpOpKind, l, r types.Datum) (types.Datum, error) {
 	if l.IsNull() || r.IsNull() {
@@ -727,7 +726,7 @@ func (c *Cast) Eval(row types.Row) (types.Datum, error) {
 }
 
 // castDatum coerces one evaluated value — the shared scalar core of
-// Cast.Eval and the vectorized cast kernel's non-numeric lanes.
+// Cast.Eval and the batch cast kernel's non-numeric lanes.
 func castDatum(to types.Kind, d types.Datum) (types.Datum, error) {
 	if d.IsNull() {
 		return types.Null(), nil

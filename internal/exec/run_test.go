@@ -1,11 +1,14 @@
 package exec
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"hivempi/internal/dfs"
 	"hivempi/internal/storage"
 	"hivempi/internal/types"
+	"hivempi/internal/vec"
 )
 
 func testEnv(t *testing.T) *Env {
@@ -39,77 +42,142 @@ func wholeSplit(t *testing.T, env *Env, path string) dfs.Split {
 	return dfs.Split{Path: path, Offset: 0, Length: sz}
 }
 
-func TestChainFilterSelect(t *testing.T) {
-	env := testEnv(t)
+// runChain drives the map-side chain the way a scan does: rows are
+// packed into batches of at most vec.DefaultSize (typed columns when
+// kinds is given, datum mode otherwise), pushed through ops, and the
+// rows reaching the sink are collected after close.
+func runChain(t *testing.T, env *Env, ops []MapOp, kinds []types.Kind, rows []types.Row) ([]types.Row, error) {
+	t.Helper()
 	var got []types.Row
-	c, err := buildChain(env, []MapOp{
-		&FilterOp{Cond: &Cmp{Op: CmpGT, L: col(0), R: iLit(2)}},
-		&SelectOp{Exprs: []Expr{&BinOp{OpMul, col(0), iLit(10)}, col(1)}},
-	}, func(r types.Row) error { got = append(got, r); return nil })
+	c, err := buildChain(env, ops, func(b *vec.Batch) error {
+		rows := materialize(b)
+		for i := 0; i < b.N; i++ {
+			got = append(got, rows.row(i))
+		}
+		return nil
+	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	for i := int64(1); i <= 5; i++ {
-		if err := c.process(types.Row{types.Int(i), types.String("v")}); err != nil {
-			t.Fatal(err)
+	for lo := 0; lo < len(rows); lo += vec.DefaultSize {
+		chunk := rows[lo:min(lo+vec.DefaultSize, len(rows))]
+		b := vec.NewBatch(len(chunk[0]), vec.DefaultSize)
+		for ci, v := range b.Cols {
+			kind := vec.KindAny
+			if kinds != nil {
+				kind = kinds[ci]
+			}
+			v.Reset(kind, vec.DefaultSize)
+			for i, r := range chunk {
+				v.SetDatum(i, r[ci])
+			}
+		}
+		b.N = len(chunk)
+		if err := c.process(b); err != nil {
+			return nil, err
 		}
 	}
-	if err := c.close(); err != nil {
-		t.Fatal(err)
+	return got, c.close()
+}
+
+func intRows(n int) []types.Row {
+	rows := make([]types.Row, n)
+	for i := range rows {
+		rows[i] = types.Row{types.Int(int64(i + 1)), types.String("v")}
 	}
-	if len(got) != 3 || got[0][0].Int() != 30 || got[2][0].Int() != 50 {
-		t.Errorf("chain produced %v", got)
+	return rows
+}
+
+var intStrKinds = []types.Kind{types.KindInt, types.KindString}
+
+func TestChainFilterSelect(t *testing.T) {
+	ops := []MapOp{
+		&FilterOp{Cond: &Cmp{Op: CmpGT, L: col(0), R: iLit(2)}},
+		&SelectOp{Exprs: []Expr{&BinOp{OpMul, col(0), iLit(10)}, col(1)}},
+	}
+	// 1024 and 1025 rows: a full batch, and a second batch of one row.
+	for _, n := range []int{1, 5, vec.DefaultSize, vec.DefaultSize + 1} {
+		for _, kinds := range [][]types.Kind{intStrKinds, nil} {
+			got, err := runChain(t, testEnv(t), ops, kinds, intRows(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != max(n-2, 0) {
+				t.Fatalf("%d rows in (kinds %v): %d rows out, want %d", n, kinds, len(got), max(n-2, 0))
+			}
+			for i, r := range got {
+				if r[0] != types.Int(int64(i+3)*10) || r[1] != types.String("v") {
+					t.Fatalf("%d rows in: row %d = %v", n, i, r)
+				}
+			}
+		}
 	}
 }
 
 func TestChainLimit(t *testing.T) {
-	env := testEnv(t)
-	n := 0
-	c, err := buildChain(env, []MapOp{&LimitOp{N: 2}},
-		func(types.Row) error { n++; return nil })
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct{ limit, rows, want int }{
+		{2, 10, 2}, // cut inside the first batch
+		{vec.DefaultSize, 2 * vec.DefaultSize, vec.DefaultSize},             // cut on the boundary
+		{vec.DefaultSize + 476, 3 * vec.DefaultSize, vec.DefaultSize + 476}, // across a boundary, then a batch dropped whole
+		{50, 7, 7}, // never reached
+		{0, 7, 0},
 	}
-	for i := 0; i < 10; i++ {
-		if err := c.process(types.Row{types.Int(int64(i))}); err != nil {
+	for _, c := range cases {
+		got, err := runChain(t, testEnv(t), []MapOp{&LimitOp{N: c.limit}}, intStrKinds, intRows(c.rows))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if n != 2 {
-		t.Errorf("limit let %d rows through", n)
+		if len(got) != c.want {
+			t.Errorf("limit %d over %d rows let %d through, want %d", c.limit, c.rows, len(got), c.want)
+		}
+		for i, r := range got {
+			if r[0].Int() != int64(i+1) {
+				t.Fatalf("limit %d: row %d is %v, not the input's row %d", c.limit, i, r, i)
+			}
+		}
 	}
 }
 
 func TestGroupByPartialFlushAndMerge(t *testing.T) {
-	env := testEnv(t)
-	var got []types.Row
 	op := &GroupByPartialOp{
 		Keys:       []Expr{col(0)},
 		Aggs:       []AggSpec{{Kind: AggSum, Arg: col(1)}, {Kind: AggCountStar}},
-		MaxEntries: 2, // force intermediate flushes
-	}
-	c, err := buildChain(env, []MapOp{op}, func(r types.Row) error {
-		got = append(got, r.Clone())
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		MaxEntries: 2, // the table fills, and flushes, in the middle of the batch
 	}
 	data := []struct {
 		k string
 		v int64
 	}{{"a", 1}, {"b", 2}, {"c", 3}, {"a", 4}, {"b", 5}, {"a", 6}}
-	for _, d := range data {
-		if err := c.process(types.Row{types.String(d.k), types.Int(d.v)}); err != nil {
-			t.Fatal(err)
-		}
+	rows := make([]types.Row, len(data))
+	for i, d := range data {
+		rows[i] = types.Row{types.String(d.k), types.Int(d.v)}
 	}
-	if err := c.close(); err != nil {
+	got, err := runChain(t, testEnv(t), []MapOp{op}, []types.Kind{types.KindString, types.KindInt}, rows)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Flushes produce partials; merging them per key must give totals.
-	totals := map[string]int64{}
-	counts := map[string]int64{}
+	// Each flush emits its groups in key order: {a,b} after row 2,
+	// {a,c} after row 4, {a,b} after row 6, nothing left at close.
+	want := []types.Row{
+		{types.String("a"), types.Int(1), types.Int(1)},
+		{types.String("b"), types.Int(2), types.Int(1)},
+		{types.String("a"), types.Int(4), types.Int(1)},
+		{types.String("c"), types.Int(3), types.Int(1)},
+		{types.String("a"), types.Int(6), types.Int(1)},
+		{types.String("b"), types.Int(5), types.Int(1)},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("partials %v, want %v", got, want)
+	}
+	for i := range want {
+		for c := range want[i] {
+			if got[i][c] != want[i][c] {
+				t.Fatalf("partial %d = %v, want %v", i, got[i], want[i])
+			}
+		}
+	}
+	// Merging the partials per key must give the totals.
+	totals, counts := map[string]int64{}, map[string]int64{}
 	for _, r := range got {
 		totals[r[0].Str()] += r[1].Int()
 		counts[r[0].Str()] += r[2].Int()
@@ -120,8 +188,33 @@ func TestGroupByPartialFlushAndMerge(t *testing.T) {
 	if counts["a"] != 3 || counts["b"] != 2 || counts["c"] != 1 {
 		t.Errorf("partial counts %v", counts)
 	}
-	if len(got) <= 3 {
-		t.Errorf("expected multiple flush batches, got %d rows", len(got))
+}
+
+// TestGroupByPartialAcrossBatches: groups survive batch boundaries (no
+// flush between batches below MaxEntries) and come out once, at close.
+func TestGroupByPartialAcrossBatches(t *testing.T) {
+	op := &GroupByPartialOp{
+		Keys: []Expr{&BinOp{OpMod, col(0), iLit(3)}},
+		Aggs: []AggSpec{{Kind: AggSum, Arg: col(0)}, {Kind: AggCount, Arg: col(1)}},
+	}
+	n := 2*vec.DefaultSize + 1
+	got, err := runChain(t, testEnv(t), []MapOp{op}, intStrKinds, intRows(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 {
+		t.Fatalf("%d groups, want 3: %v", len(got), got)
+	}
+	var sum, count int64
+	for g, r := range got {
+		if r[0].Int() != int64(g) {
+			t.Errorf("group %d has key %v", g, r[0])
+		}
+		sum += r[1].Int()
+		count += r[2].Int()
+	}
+	if want := int64(n) * int64(n+1) / 2; sum != want || count != int64(n) {
+		t.Errorf("sum %d count %d, want %d and %d", sum, count, want, n)
 	}
 }
 
@@ -132,39 +225,63 @@ func TestMapJoinInnerAndOuter(t *testing.T) {
 		[]types.Row{
 			{types.Int(1), types.String("one")},
 			{types.Int(2), types.String("two")},
+			{types.Null(), types.String("nobody")}, // a NULL build key joins nothing
 			{types.Int(2), types.String("deux")},
 		})
-	run := func(outer bool) []types.Row {
-		var got []types.Row
+	probe := []types.Row{
+		{types.Int(1), types.String("p1")},
+		{types.Int(2), types.String("p2")},
+		{types.Int(3), types.String("p3")},
+		{types.Null(), types.String("pnull")}, // nor does a NULL probe key
+	}
+	run := func(outer bool) []string {
 		op := &MapJoinOp{Small: small, ProbeKeys: []Expr{col(0)}, BuildKeys: []Expr{col(0)}, Outer: outer}
-		c, err := buildChain(env, []MapOp{op}, func(r types.Row) error {
-			got = append(got, r)
-			return nil
-		})
+		got, err := runChain(t, env, []MapOp{op}, intStrKinds, probe)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range []int64{1, 2, 3} {
-			if err := c.process(types.Row{types.Int(k), types.String("probe")}); err != nil {
-				t.Fatal(err)
-			}
+		out := make([]string, len(got))
+		for i, r := range got {
+			out[i] = r.Text('|')
 		}
-		if err := c.close(); err != nil {
-			t.Fatal(err)
+		return out
+	}
+	wantInner := []string{`1|p1|1|one`, `2|p2|2|two`, `2|p2|2|deux`}
+	if got := run(false); !reflect.DeepEqual(got, wantInner) {
+		t.Errorf("inner join = %q, want %q", got, wantInner)
+	}
+	wantOuter := append(append([]string(nil), wantInner...), `3|p3|\N|\N`, `\N|pnull|\N|\N`)
+	if got := run(true); !reflect.DeepEqual(got, wantOuter) {
+		t.Errorf("outer join = %q, want %q", got, wantOuter)
+	}
+}
+
+// TestMapJoinFanOutAcrossOutputBatches: one probe batch whose matches
+// overflow the output batch flushes mid-probe and loses nothing.
+func TestMapJoinFanOutAcrossOutputBatches(t *testing.T) {
+	env := testEnv(t)
+	dim := make([]types.Row, 3)
+	for i := range dim {
+		dim[i] = types.Row{types.Int(7), types.String(fmt.Sprint("m", i))}
+	}
+	small := writeTable(t, env, "/fan", types.NewSchema(
+		types.Col("id", types.KindInt), types.Col("name", types.KindString)), dim)
+	probe := make([]types.Row, vec.DefaultSize)
+	for i := range probe {
+		probe[i] = types.Row{types.Int(7), types.String(fmt.Sprint("p", i))}
+	}
+	op := &MapJoinOp{Small: small, ProbeKeys: []Expr{col(0)}, BuildKeys: []Expr{col(0)}}
+	got, err := runChain(t, env, []MapOp{op}, intStrKinds, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3*vec.DefaultSize {
+		t.Fatalf("join produced %d rows, want %d", len(got), 3*vec.DefaultSize)
+	}
+	for i, r := range got {
+		if r[1].Str() != fmt.Sprint("p", i/3) || r[3].Str() != fmt.Sprint("m", i%3) {
+			t.Fatalf("row %d = %v", i, r)
 		}
-		return got
-	}
-	inner := run(false)
-	if len(inner) != 3 { // 1 match + 2 matches + 0
-		t.Errorf("inner join produced %d rows, want 3", len(inner))
-	}
-	outer := run(true)
-	if len(outer) != 4 {
-		t.Errorf("outer join produced %d rows, want 4", len(outer))
-	}
-	last := outer[3]
-	if last[0].Int() != 3 || !last[2].IsNull() || !last[3].IsNull() {
-		t.Errorf("outer miss row %v", last)
 	}
 }
 
@@ -440,21 +557,69 @@ func TestReduceDriverErrorPaths(t *testing.T) {
 }
 
 func TestBuildChainUnknownOp(t *testing.T) {
-	env := testEnv(t)
 	type fakeOp struct{ MapOp }
-	if _, err := buildChain(env, []MapOp{fakeOp{}}, func(types.Row) error { return nil }); err == nil {
+	if _, err := runChain(t, testEnv(t), []MapOp{fakeOp{}}, nil, nil); err == nil {
 		t.Error("unknown op should fail chain building")
 	}
 }
 
+// TestReducePostChainRejectsOtherOps: the reduce side runs filters and
+// projections only; anything else in a Post chain is a planner bug and
+// fails when the driver is built, not silently at run time.
+func TestReducePostChainRejectsOtherOps(t *testing.T) {
+	sink := func(types.Row) error { return nil }
+	for _, op := range []MapOp{&LimitOp{N: 1}, &GroupByPartialOp{}, &MapJoinOp{}} {
+		work := &ReduceWork{
+			KeyKinds: []types.Kind{types.KindInt},
+			Op:       &ExtractReduce{ValueWidth: 1},
+			Post:     []MapOp{&FilterOp{Cond: &Cmp{Op: CmpGT, L: col(0), R: iLit(0)}}, op},
+		}
+		if _, err := NewReduceDriver(testEnv(t), work, sink, nil); err == nil {
+			t.Errorf("%T in a reduce post chain should fail", op)
+		}
+	}
+}
+
+// TestReducePostChainFilterSelect: HAVING then projection, row at a time.
+func TestReducePostChainFilterSelect(t *testing.T) {
+	work := &ReduceWork{
+		KeyKinds: []types.Kind{types.KindInt},
+		Op:       &ExtractReduce{ValueWidth: 1},
+		Post: []MapOp{
+			&FilterOp{Cond: &Cmp{Op: CmpGE, L: col(0), R: iLit(2)}},
+			&SelectOp{Exprs: []Expr{&BinOp{OpMul, col(0), iLit(10)}}},
+		},
+	}
+	var out []types.Row
+	rd, err := NewReduceDriver(testEnv(t), work, func(r types.Row) error {
+		out = append(out, r)
+		return nil
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []types.Datum{types.Int(1), types.Int(2), types.Null(), types.Int(3)} {
+		key := types.AppendKeyDatum(nil, types.Int(0), false)
+		val := append([]byte{0}, types.EncodeRow(nil, types.Row{v})...)
+		if err := rd.Feed(key, [][]byte{val}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 2 || out[0][0] != types.Int(20) || out[1][0] != types.Int(30) {
+		t.Errorf("post chain produced %v", out)
+	}
+}
+
 func TestMapJoinMissingSmallTable(t *testing.T) {
-	env := testEnv(t)
 	op := &MapJoinOp{
 		Small:     TableInput{Paths: []string{"/missing"}, Format: storage.FormatText, Schema: types.NewSchema(types.Col("a", types.KindInt))},
 		ProbeKeys: []Expr{col(0)},
 		BuildKeys: []Expr{col(0)},
 	}
-	if _, err := buildChain(env, []MapOp{op}, func(types.Row) error { return nil }); err == nil {
+	if _, err := runChain(t, testEnv(t), []MapOp{op}, nil, nil); err == nil {
 		t.Error("missing small table should fail")
 	}
 }

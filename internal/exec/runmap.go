@@ -12,6 +12,7 @@ import (
 	"hivempi/internal/storage"
 	"hivempi/internal/trace"
 	"hivempi/internal/types"
+	"hivempi/internal/vec"
 )
 
 // NodeView is the engines' read-only window onto cluster membership:
@@ -90,10 +91,17 @@ type RowSink func(types.Row) error
 // collector or DataMPI's MPI_D_Send).
 type KVEmit func(key, value []byte) error
 
-// chain is a built operator pipeline: feed rows into process, then
-// close (flushing blocking operators front-to-back).
+// batchSink consumes one batch. The batch is only valid for the
+// duration of the call — operators reuse and pool batches aggressively.
+type batchSink func(b *vec.Batch) error
+
+// chain is a built map-side pipeline: push column batches into
+// process, then close (flushing blocking operators front-to-back).
+// Each operator compiles its expressions once (compileKernel) and then
+// processes whole batches per call; operators that rearrange rows
+// (filter, join, aggregate) work in place or emit pooled batches.
 type chain struct {
-	process RowSink
+	process batchSink
 	closers []func() error
 }
 
@@ -107,54 +115,25 @@ func (c *chain) close() error {
 }
 
 // buildChain compiles the op list into a push pipeline ending at sink.
-func buildChain(env *Env, ops []MapOp, sink RowSink) (*chain, error) {
+func buildChain(env *Env, ops []MapOp, sink batchSink) (*chain, error) {
 	c := &chain{process: sink}
 	// Build back-to-front so each op wraps its downstream.
 	for i := len(ops) - 1; i >= 0; i-- {
-		next := c.process
 		switch op := ops[i].(type) {
 		case *FilterOp:
-			cond := op.Cond
-			c.process = func(row types.Row) error {
-				d, err := cond.Eval(row)
-				if err != nil {
-					return err
-				}
-				if !d.IsNull() && d.Bool() {
-					return next(row)
-				}
-				return nil
-			}
+			c.process = newFilter(op, c.process)
 		case *SelectOp:
-			exprs := op.Exprs
-			c.process = func(row types.Row) error {
-				out := make(types.Row, len(exprs))
-				for j, e := range exprs {
-					d, err := e.Eval(row)
-					if err != nil {
-						return err
-					}
-					out[j] = d
-				}
-				return next(out)
-			}
+			c.process = newProject(op, c.process)
 		case *LimitOp:
-			left := op.N
-			c.process = func(row types.Row) error {
-				if left <= 0 {
-					return nil
-				}
-				left--
-				return next(row)
-			}
+			c.process = newLimit(op, c.process)
 		case *MapJoinOp:
-			p, err := buildMapJoin(env, op, next)
+			p, err := newMapJoinProbe(env, op, c.process)
 			if err != nil {
 				return nil, err
 			}
 			c.process = p
 		case *GroupByPartialOp:
-			p, closer := buildGroupByPartial(op, next)
+			p, closer := newPartialAgg(op, c.process)
 			c.process = p
 			c.closers = append([]func() error{closer}, c.closers...)
 		default:
@@ -164,25 +143,217 @@ func buildChain(env *Env, ops []MapOp, sink RowSink) (*chain, error) {
 	return c, nil
 }
 
+// newFilter compacts each batch in place to the rows the condition
+// holds for (NULL counts as false) and drops batches left empty.
+func newFilter(op *FilterOp, next batchSink) batchSink {
+	k := compileKernel(op.Cond)
+	var cond vec.Vector
+	var mask []bool
+	return func(b *vec.Batch) error {
+		if err := k(b, &cond); err != nil {
+			return err
+		}
+		if cap(mask) < b.N {
+			mask = make([]bool, b.N)
+		}
+		mask = mask[:b.N]
+		for i := 0; i < b.N; i++ {
+			mask[i] = laneBool(&cond, i)
+		}
+		b.Compact(mask)
+		if b.N == 0 {
+			return nil
+		}
+		return next(b)
+	}
+}
+
+// newProject evaluates the select list into a pooled output batch.
+func newProject(op *SelectOp, next batchSink) batchSink {
+	ks := compileKernels(op.Exprs)
+	return func(b *vec.Batch) error {
+		out := vec.Get(len(ks))
+		defer vec.Put(out)
+		for j, k := range ks {
+			if err := k(b, out.Cols[j]); err != nil {
+				return err
+			}
+		}
+		out.N = b.N
+		return next(out)
+	}
+}
+
+// newLimit passes the first N rows of the task's stream: the batch the
+// limit falls in is truncated, later ones dropped.
+func newLimit(op *LimitOp, next batchSink) batchSink {
+	left := op.N
+	return func(b *vec.Batch) error {
+		if left <= 0 {
+			return nil
+		}
+		if b.N > left {
+			b.N = left
+		}
+		left -= b.N
+		return next(b)
+	}
+}
+
+func compileKernels(exprs []Expr) []kernel {
+	ks := make([]kernel, len(exprs))
+	for i, e := range exprs {
+		ks[i] = compileKernel(e)
+	}
+	return ks
+}
+
+// evalKernels runs ks[i] over b into outs[i]; nil kernels are skipped.
+func evalKernels(ks []kernel, b *vec.Batch, outs []vec.Vector) error {
+	for i, k := range ks {
+		if k == nil {
+			continue
+		}
+		if err := k(b, &outs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// appendLaneKey appends the order-preserving encoding of one lane of
+// the evaluated key columns and reports whether any of them is NULL.
+func appendLaneKey(buf []byte, keyVs []vec.Vector, lane int, descs []bool) ([]byte, bool) {
+	anyNull := false
+	for i := range keyVs {
+		d := keyVs[i].Datum(lane)
+		if d.IsNull() {
+			anyNull = true
+		}
+		buf = types.AppendKeyDatum(buf, d, i < len(descs) && descs[i])
+	}
+	return buf, anyNull
+}
+
+// rowSlab is a batch materialized row-major into one fresh allocation.
+// Consumers retain the rows it cuts (collectors, the map-join table),
+// so a slab is never reused.
+type rowSlab struct {
+	data  []types.Datum
+	width int
+}
+
+func materialize(b *vec.Batch) rowSlab {
+	s := rowSlab{data: make([]types.Datum, b.N*len(b.Cols)), width: len(b.Cols)}
+	for c, v := range b.Cols {
+		for lane := 0; lane < b.N; lane++ {
+			s.data[lane*s.width+c] = v.Datum(lane)
+		}
+	}
+	return s
+}
+
+// row cuts row i, capped so an append to it cannot reach its neighbour.
+func (s rowSlab) row(i int) types.Row {
+	lo, hi := i*s.width, (i+1)*s.width
+	return s.data[lo:hi:hi]
+}
+
+// datumBatcher packs rows one at a time into a pooled datum-mode batch
+// and hands it to next whenever it fills, and on flush.
+type datumBatcher struct {
+	out  *vec.Batch
+	n    int
+	next batchSink
+}
+
+func newDatumBatcher(width int, next batchSink) *datumBatcher {
+	p := &datumBatcher{out: vec.Get(width), next: next}
+	p.reset()
+	return p
+}
+
+func (p *datumBatcher) reset() {
+	for _, v := range p.out.Cols {
+		v.Reset(vec.KindAny, vec.DefaultSize)
+	}
+	p.n = 0
+}
+
+// set stores column c of the row being packed.
+func (p *datumBatcher) set(c int, d types.Datum) { p.out.Cols[c].SetDatum(p.n, d) }
+
+// endRow completes the row being packed.
+func (p *datumBatcher) endRow() error {
+	p.n++
+	if p.n == vec.DefaultSize {
+		return p.flush()
+	}
+	return nil
+}
+
+func (p *datumBatcher) flush() error {
+	if p.n == 0 {
+		return nil
+	}
+	p.out.N = p.n
+	err := p.next(p.out)
+	p.reset()
+	return err
+}
+
+// release returns the batch to the pool; the batcher is dead after it.
+func (p *datumBatcher) release() { vec.Put(p.out) }
+
+// scanSplit pushes every batch of one input split through each and
+// returns the reader (for its physical byte count).
+func scanSplit(env *Env, in TableInput, split dfs.Split, each batchSink) (storage.BatchReader, error) {
+	rd, err := storage.OpenSplitBatch(env.FS, split, in.Format, in.Schema, in.Projection, in.Predicate)
+	if err != nil {
+		return nil, err
+	}
+	b := vec.Get(in.Schema.Len())
+	defer vec.Put(b)
+	for {
+		err := rd.NextBatch(b)
+		if err == io.EOF {
+			return rd, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if err := each(b); err != nil {
+			return nil, err
+		}
+	}
+}
+
 // loadMapJoinTable runs the small-table side of a map join: it streams
 // the build input through its op chain into a hash map keyed by the
 // encoded build keys, returning the table and the small-side row
-// width. Shared by the row-mode and vectorized probe paths.
+// width.
 func loadMapJoinTable(env *Env, op *MapJoinOp) (map[string][]types.Row, int, error) {
 	table := make(map[string][]types.Row)
 	smallWidth := op.SmallWidth
 	if smallWidth == 0 {
 		smallWidth = op.Small.Schema.Len()
 	}
-	build := func(row types.Row) error {
-		key, null, err := encodeJoinKey(op.BuildKeys, row)
-		if err != nil {
+	keyKs := compileKernels(op.BuildKeys)
+	keyVs := make([]vec.Vector, len(keyKs))
+	var keyBuf []byte
+	build := func(b *vec.Batch) error {
+		if err := evalKernels(keyKs, b, keyVs); err != nil {
 			return err
 		}
-		if null {
-			return nil // NULL keys never join
+		rows := materialize(b)
+		for lane := 0; lane < b.N; lane++ {
+			var null bool
+			keyBuf, null = appendLaneKey(keyBuf[:0], keyVs, lane, nil)
+			if null {
+				continue // NULL keys never join
+			}
+			table[string(keyBuf)] = append(table[string(keyBuf)], rows.row(lane))
 		}
-		table[key] = append(table[key], row.Clone())
 		return nil
 	}
 	loader, err := buildChain(env, op.SmallOps, build)
@@ -194,21 +365,8 @@ func loadMapJoinTable(env *Env, op *MapJoinOp) (map[string][]types.Row, int, err
 		if err != nil {
 			return nil, 0, fmt.Errorf("exec: map join small table: %w", err)
 		}
-		rd, err := openInput(env, op.Small, dfs.Split{Path: path, Offset: 0, Length: sz})
-		if err != nil {
+		if _, err := scanSplit(env, op.Small, dfs.Split{Path: path, Offset: 0, Length: sz}, loader.process); err != nil {
 			return nil, 0, err
-		}
-		for {
-			row, err := rd.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, 0, err
-			}
-			if err := loader.process(row); err != nil {
-				return nil, 0, err
-			}
 		}
 	}
 	if err := loader.close(); err != nil {
@@ -217,65 +375,78 @@ func loadMapJoinTable(env *Env, op *MapJoinOp) (map[string][]types.Row, int, err
 	return table, smallWidth, nil
 }
 
-// buildMapJoin loads the small table into a hash map keyed by the
-// encoded build keys, then streams probe rows through it.
-func buildMapJoin(env *Env, op *MapJoinOp, next RowSink) (RowSink, error) {
+// newMapJoinProbe loads the small table and returns the probe
+// operator: keys are kernel-computed per batch, join results packed
+// into datum-mode output batches.
+func newMapJoinProbe(env *Env, op *MapJoinOp, next batchSink) (batchSink, error) {
 	table, smallWidth, err := loadMapJoinTable(env, op)
 	if err != nil {
 		return nil, err
 	}
-	nulls := make(types.Row, smallWidth)
-	return func(row types.Row) error {
-		key, null, err := encodeJoinKey(op.ProbeKeys, row)
-		if err != nil {
+	keyKs := compileKernels(op.ProbeKeys)
+	outer := op.Outer
+	keyVs := make([]vec.Vector, len(keyKs))
+	var keyBuf []byte
+	return func(b *vec.Batch) error {
+		if err := evalKernels(keyKs, b, keyVs); err != nil {
 			return err
 		}
-		matches := table[key]
-		if null {
-			matches = nil
-		}
-		if len(matches) == 0 {
-			if op.Outer {
-				out := make(types.Row, 0, len(row)+smallWidth)
-				out = append(out, row...)
-				out = append(out, nulls...)
-				return next(out)
+		out := newDatumBatcher(len(b.Cols)+smallWidth, next)
+		defer out.release()
+		emit := func(lane int, small types.Row) error {
+			for c, v := range b.Cols {
+				out.set(c, v.Datum(lane))
 			}
-			return nil
+			for c := 0; c < smallWidth; c++ {
+				var d types.Datum // an outer miss (or a short row) pads with NULLs
+				if c < len(small) {
+					d = small[c]
+				}
+				out.set(len(b.Cols)+c, d)
+			}
+			return out.endRow()
 		}
-		for _, m := range matches {
-			out := make(types.Row, 0, len(row)+smallWidth)
-			out = append(out, row...)
-			out = append(out, m...)
-			if err := next(out); err != nil {
-				return err
+		for lane := 0; lane < b.N; lane++ {
+			var null bool
+			keyBuf, null = appendLaneKey(keyBuf[:0], keyVs, lane, nil)
+			matches := table[string(keyBuf)]
+			if null {
+				matches = nil // NULL keys never join
+			}
+			if len(matches) == 0 {
+				if outer {
+					if err := emit(lane, nil); err != nil {
+						return err
+					}
+				}
+				continue
+			}
+			for _, m := range matches {
+				if err := emit(lane, m); err != nil {
+					return err
+				}
 			}
 		}
-		return nil
+		return out.flush()
 	}, nil
 }
 
-func encodeJoinKey(keys []Expr, row types.Row) (string, bool, error) {
-	var buf []byte
-	anyNull := false
-	for _, k := range keys {
-		d, err := k.Eval(row)
-		if err != nil {
-			return "", false, err
-		}
-		if d.IsNull() {
-			anyNull = true
-		}
-		buf = types.AppendKeyDatum(buf, d, false)
-	}
-	return string(buf), anyNull, nil
-}
-
-// buildGroupByPartial implements map-side hash aggregation.
-func buildGroupByPartial(op *GroupByPartialOp, next RowSink) (RowSink, func() error) {
+// newPartialAgg is map-side hash aggregation: key and argument
+// expressions evaluate per batch, then each lane updates its group's
+// AggStates.
+func newPartialAgg(op *GroupByPartialOp, next batchSink) (batchSink, func() error) {
 	maxEntries := op.MaxEntries
 	if maxEntries <= 0 {
 		maxEntries = DefaultHashAggEntries
+	}
+	keyKs := compileKernels(op.Keys)
+	// CountStar has no argument expression; a nil kernel marks it and
+	// the update passes a null datum (UpdateDatum counts regardless).
+	argKs := make([]kernel, len(op.Aggs))
+	for i, spec := range op.Aggs {
+		if spec.Arg != nil {
+			argKs[i] = compileKernel(spec.Arg)
+		}
 	}
 	type entry struct {
 		keys   []types.Datum
@@ -283,107 +454,145 @@ func buildGroupByPartial(op *GroupByPartialOp, next RowSink) (RowSink, func() er
 	}
 	groups := make(map[string]*entry)
 
+	width := len(op.Keys)
+	for _, spec := range op.Aggs {
+		width += spec.PartialWidth()
+	}
 	flush := func() error {
+		if len(groups) == 0 {
+			return nil
+		}
 		// Deterministic flush order for reproducibility.
 		keys := make([]string, 0, len(groups))
 		for k := range groups {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
+		out := newDatumBatcher(width, next)
+		defer out.release()
 		for _, k := range keys {
 			e := groups[k]
-			out := make(types.Row, 0, len(e.keys)+len(e.states)*2)
-			out = append(out, e.keys...)
-			for _, st := range e.states {
-				out = append(out, st.EmitPartial()...)
+			c := 0
+			for _, d := range e.keys {
+				out.set(c, d)
+				c++
 			}
-			if err := next(out); err != nil {
+			for _, st := range e.states {
+				for _, d := range st.EmitPartial() {
+					out.set(c, d)
+					c++
+				}
+			}
+			if err := out.endRow(); err != nil {
 				return err
 			}
 		}
 		groups = make(map[string]*entry)
-		return nil
+		return out.flush()
 	}
 
-	process := func(row types.Row) error {
-		var kb []byte
-		keyVals := make([]types.Datum, len(op.Keys))
-		for i, ke := range op.Keys {
-			d, err := ke.Eval(row)
-			if err != nil {
-				return err
-			}
-			keyVals[i] = d
-			kb = types.AppendKeyDatum(kb, d, false)
+	keyVs := make([]vec.Vector, len(keyKs))
+	argVs := make([]vec.Vector, len(argKs))
+	var kb []byte
+	process := func(b *vec.Batch) error {
+		if err := evalKernels(keyKs, b, keyVs); err != nil {
+			return err
 		}
-		e, ok := groups[string(kb)]
-		if !ok {
-			e = &entry{keys: keyVals, states: make([]*AggState, len(op.Aggs))}
-			for i, spec := range op.Aggs {
-				e.states[i] = NewAggState(spec)
-			}
-			groups[string(kb)] = e
+		if err := evalKernels(argKs, b, argVs); err != nil {
+			return err
 		}
-		for _, st := range e.states {
-			if err := st.Update(row); err != nil {
-				return err
+		for lane := 0; lane < b.N; lane++ {
+			kb, _ = appendLaneKey(kb[:0], keyVs, lane, nil)
+			e, ok := groups[string(kb)]
+			if !ok {
+				e = &entry{keys: make([]types.Datum, len(keyVs)), states: make([]*AggState, len(op.Aggs))}
+				for i := range keyVs {
+					e.keys[i] = keyVs[i].Datum(lane)
+				}
+				for i, spec := range op.Aggs {
+					e.states[i] = NewAggState(spec)
+				}
+				groups[string(kb)] = e
 			}
-		}
-		if len(groups) >= maxEntries {
-			return flush()
+			for i, st := range e.states {
+				var d types.Datum
+				if argKs[i] != nil {
+					d = argVs[i].Datum(lane)
+				}
+				st.UpdateDatum(d)
+			}
+			if len(groups) >= maxEntries {
+				if err := flush(); err != nil {
+					return err
+				}
+			}
 		}
 		return nil
 	}
 	return process, flush
 }
 
-// openInput opens a reader over one split of a table input.
-func openInput(env *Env, in TableInput, split dfs.Split) (storage.RowReader, error) {
-	return storage.OpenSplit(env.FS, split, in.Format, in.Schema, in.Projection, in.Predicate)
-}
-
-// RunMapTask executes one map-side task: read the split, run the op
-// chain and either emit shuffle pairs (Keys set) or hand rows to out.
-// It fills the task's trace record with input/output counters. With
-// conf.Vectorized set, the task runs the columnar batch pipeline
-// instead (same pairs and rows, batch-at-a-time execution).
+// RunMapTask executes one map-side task: batch-scan the split, run the
+// op chain and either emit shuffle pairs (Keys set) or hand rows to
+// out. It fills the task's trace record with input/output counters.
 func RunMapTask(env *Env, conf EngineConf, stage *Stage, mapIdx int, split dfs.Split,
 	emit KVEmit, out RowSink, metrics *trace.Task) error {
-	if conf.Vectorized {
-		return runMapTaskVec(env, conf, stage, mapIdx, split, emit, out, metrics)
-	}
 	mw := &stage.Maps[mapIdx]
 
-	var descs []bool
-	if stage.Shuffle != nil {
-		descs = stage.Shuffle.SortDescs
-	}
-
-	var terminal RowSink
+	var terminal batchSink
 	switch {
 	case mw.Keys != nil:
+		var descs []bool
+		if stage.Shuffle != nil {
+			descs = stage.Shuffle.SortDescs
+		}
 		tagByte := byte(mw.Tag)
-		terminal = func(row types.Row) error {
-			key, err := evalKey(mw.Keys, descs, row)
-			if err != nil {
+		keyKs, valKs := compileKernels(mw.Keys), compileKernels(mw.Values)
+		keyVs := make([]vec.Vector, len(keyKs))
+		valVs := make([]vec.Vector, len(valKs))
+		valRow := make(types.Row, len(valKs))
+		// Pairs are sized from the longest seen so far: one allocation
+		// each instead of append's doubling chain.
+		keyCap, valCap := 0, 1
+		terminal = func(b *vec.Batch) error {
+			if err := evalKernels(keyKs, b, keyVs); err != nil {
 				return err
 			}
-			val, err := evalValue(tagByte, mw.Values, row)
-			if err != nil {
+			if err := evalKernels(valKs, b, valVs); err != nil {
 				return err
 			}
-			if metrics != nil {
-				metrics.OutputRecords++
-				metrics.OutputBytes += int64(len(key) + len(val))
+			for lane := 0; lane < b.N; lane++ {
+				// Fresh key/value buffers per pair: emit implementations
+				// (collectors, send buffers) may retain them.
+				key, _ := appendLaneKey(make([]byte, 0, keyCap), keyVs, lane, descs)
+				keyCap = max(keyCap, len(key))
+				for i := range valVs {
+					valRow[i] = valVs[i].Datum(lane)
+				}
+				val := types.EncodeRow(append(make([]byte, 0, valCap), tagByte), valRow)
+				valCap = max(valCap, len(val))
+				if metrics != nil {
+					metrics.OutputRecords++
+					metrics.OutputBytes += int64(len(key) + len(val))
+				}
+				if err := emit(key, val); err != nil {
+					return err
+				}
 			}
-			return emit(key, val)
+			return nil
 		}
 	case out != nil:
-		terminal = func(row types.Row) error {
-			if metrics != nil {
-				metrics.OutputRecords++
+		terminal = func(b *vec.Batch) error {
+			rows := materialize(b)
+			for lane := 0; lane < b.N; lane++ {
+				if metrics != nil {
+					metrics.OutputRecords++
+				}
+				if err := out(rows.row(lane)); err != nil {
+					return err
+				}
 			}
-			return out(row)
+			return nil
 		}
 	default:
 		return fmt.Errorf("exec: map task %s/%d has neither shuffle nor sink", stage.ID, mapIdx)
@@ -398,24 +607,15 @@ func RunMapTask(env *Env, conf EngineConf, stage *Stage, mapIdx int, split dfs.S
 		// chain still closes so blocking operators flush.
 		return c.close()
 	}
-	rd, err := openInput(env, mw.Input, split)
+	rd, err := scanSplit(env, mw.Input, split, func(b *vec.Batch) error {
+		if metrics != nil {
+			metrics.InputRecords += int64(b.N)
+			metrics.Batches++
+		}
+		return c.process(b)
+	})
 	if err != nil {
 		return err
-	}
-	for {
-		row, err := rd.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if metrics != nil {
-			metrics.InputRecords++
-		}
-		if err := c.process(row); err != nil {
-			return err
-		}
 	}
 	if metrics != nil {
 		var in int64
@@ -430,37 +630,6 @@ func RunMapTask(env *Env, conf EngineConf, stage *Stage, mapIdx int, split dfs.S
 		}
 	}
 	return c.close()
-}
-
-// evalKey builds the order-preserving shuffle key.
-func evalKey(keys []Expr, descs []bool, row types.Row) ([]byte, error) {
-	var buf []byte
-	for i, ke := range keys {
-		d, err := ke.Eval(row)
-		if err != nil {
-			return nil, err
-		}
-		desc := false
-		if descs != nil && i < len(descs) {
-			desc = descs[i]
-		}
-		buf = types.AppendKeyDatum(buf, d, desc)
-	}
-	return buf, nil
-}
-
-// evalValue builds the tagged shuffle value.
-func evalValue(tag byte, values []Expr, row types.Row) ([]byte, error) {
-	out := make(types.Row, len(values))
-	for i, ve := range values {
-		d, err := ve.Eval(row)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = d
-	}
-	buf := []byte{tag}
-	return types.EncodeRow(buf, out), nil
 }
 
 // PartitionForKey selects the reducer for a shuffle key: hash of the

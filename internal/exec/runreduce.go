@@ -12,9 +12,8 @@ import (
 // A-side iterator) and it pushes result rows through the post chain
 // into the output sink — the ExecReducer of the paper.
 type ReduceDriver struct {
-	env     *Env
 	work    *ReduceWork
-	chain   *chain
+	post    RowSink
 	metrics *trace.Task
 
 	limitLeft int
@@ -24,7 +23,7 @@ type ReduceDriver struct {
 
 // NewReduceDriver builds the post chain ending at out.
 func NewReduceDriver(env *Env, work *ReduceWork, out RowSink, metrics *trace.Task) (*ReduceDriver, error) {
-	d := &ReduceDriver{env: env, work: work, metrics: metrics, limitLeft: work.Limit}
+	d := &ReduceDriver{work: work, metrics: metrics, limitLeft: work.Limit}
 	terminal := out
 	if work.Limit > 0 {
 		inner := out
@@ -42,12 +41,50 @@ func NewReduceDriver(env *Env, work *ReduceWork, out RowSink, metrics *trace.Tas
 		}
 		return terminal(row)
 	}
-	c, err := buildChain(env, work.Post, counted)
+	post, err := buildPost(work.Post, counted)
 	if err != nil {
 		return nil, err
 	}
-	d.chain = c
+	d.post = post
 	return d, nil
+}
+
+// buildPost compiles the reduce-side post chain into a push pipeline
+// ending at sink. The reduce side stays row-at-a-time over Expr.Eval:
+// the planner only places HAVING/residual-join filters and the final
+// projection after a reduce operator, and neither blocks, so there is
+// nothing to flush on close.
+func buildPost(ops []MapOp, sink RowSink) (RowSink, error) {
+	for i := len(ops) - 1; i >= 0; i-- {
+		next := sink
+		switch op := ops[i].(type) {
+		case *FilterOp:
+			cond := op.Cond
+			sink = func(row types.Row) error {
+				d, err := cond.Eval(row)
+				if err != nil || d.IsNull() || !d.Bool() {
+					return err
+				}
+				return next(row)
+			}
+		case *SelectOp:
+			exprs := op.Exprs
+			sink = func(row types.Row) error {
+				out := make(types.Row, len(exprs))
+				for j, e := range exprs {
+					d, err := e.Eval(row)
+					if err != nil {
+						return err
+					}
+					out[j] = d
+				}
+				return next(out)
+			}
+		default:
+			return nil, fmt.Errorf("exec: reduce post chain cannot run %T", ops[i])
+		}
+	}
+	return sink, nil
 }
 
 // decodeKey reverses the order-preserving key encoding.
@@ -103,7 +140,7 @@ func (d *ReduceDriver) Feed(key []byte, values [][]byte) error {
 			if err != nil {
 				return err
 			}
-			if err := d.chain.process(row); err != nil {
+			if err := d.post(row); err != nil {
 				return err
 			}
 		}
@@ -159,7 +196,7 @@ func (d *ReduceDriver) feedGroupBy(op *GroupByReduce, keyRow types.Row, values [
 	if d.metrics != nil {
 		d.metrics.ReduceGroups++
 	}
-	return d.chain.process(out)
+	return d.post(out)
 }
 
 // feedJoin buckets the group's rows by tag and emits the join of the
@@ -223,7 +260,7 @@ func (d *ReduceDriver) feedJoin(op *JoinReduce, values [][]byte) error {
 		d.metrics.ReduceGroups++
 	}
 	for _, row := range acc {
-		if err := d.chain.process(row); err != nil {
+		if err := d.post(row); err != nil {
 			return err
 		}
 	}
@@ -236,7 +273,7 @@ func (d *ReduceDriver) LimitReached() bool {
 	return d.work.Limit > 0 && d.limitLeft <= 0
 }
 
-// Close flushes blocking post operators. A global aggregate (no group
+// Close ends the reduce task. A global aggregate (no group
 // keys) that received no input still emits its single empty-group row
 // (SQL: SELECT sum(x) over zero rows yields one NULL row). The planner
 // forces such stages onto a single reducer, so exactly one row appears.
@@ -247,9 +284,7 @@ func (d *ReduceDriver) Close() error {
 	d.closed = true
 	if gb, ok := d.work.Op.(*GroupByReduce); ok &&
 		len(d.work.KeyKinds) == 0 && d.groupsFed == 0 {
-		if err := d.feedGroupBy(gb, nil, nil); err != nil {
-			return err
-		}
+		return d.feedGroupBy(gb, nil, nil)
 	}
-	return d.chain.close()
+	return nil
 }

@@ -192,7 +192,7 @@ type ReduceWork struct {
 	KeyKinds []types.Kind // for key decoding
 	KeyDescs []bool       // matching the shuffle's SortDescs
 	Op       ReduceOp
-	Post     []MapOp // having / projection / limit after the reduce op
+	Post     []MapOp // having / residual join filters / projection after the reduce op: FilterOp and SelectOp only
 	Limit    int     // 0 = unlimited
 }
 

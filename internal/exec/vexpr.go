@@ -1,14 +1,14 @@
 package exec
 
-// Vectorized expression kernels. compileKernel walks an Expr tree once
-// per task and produces a closure tree evaluating whole column batches,
+// Expression kernels. compileKernel walks an Expr tree once per task
+// and produces a closure tree evaluating whole column batches,
 // replacing per-row Eval interface dispatch with typed per-kind loops.
-// Every node has a universal fallback (materialize the row, call Eval),
-// so compilation never fails and any node the fast paths don't cover is
-// still bit-identical to row mode. Mixed-kind lanes inside fast-path
-// nodes route through the same scalar helpers Eval uses (binOpDatums,
-// cmpDatums, castDatum), keeping the two modes identical by
-// construction rather than by parallel implementations.
+// Expr.Eval remains the scalar reference (and the reduce side's
+// evaluator): every node has a universal fallback (materialize the
+// row, call Eval), so compilation never fails, and mixed-kind lanes
+// inside fast-path nodes route through the same scalar helpers Eval
+// uses (binOpDatums, cmpDatums, castDatum), keeping a kernel identical
+// to Eval by construction rather than by parallel implementations.
 
 import (
 	"fmt"
@@ -17,10 +17,10 @@ import (
 	"hivempi/internal/vec"
 )
 
-// vkernel evaluates one expression over a batch, filling out with one
+// kernel evaluates one expression over a batch, filling out with one
 // value per batch row. The out vector is owned by the caller and Reset
 // by the kernel each call.
-type vkernel func(b *vec.Batch, out *vec.Vector) error
+type kernel func(b *vec.Batch, out *vec.Vector) error
 
 // isI64Kind reports kinds stored in the I64 payload — the same set
 // BinOp treats as "intish".
@@ -67,9 +67,9 @@ func laneBool(v *vec.Vector, i int) bool {
 }
 
 // compileKernel compiles e into a batch kernel. It always succeeds:
-// nodes without a vectorized form fall back to per-row Eval over a
+// nodes without a batch form fall back to per-row Eval over a
 // materialized scratch row.
-func compileKernel(e Expr) vkernel {
+func compileKernel(e Expr) kernel {
 	switch n := e.(type) {
 	case *ColRef:
 		return compileColRef(n)
@@ -103,7 +103,7 @@ func compileKernel(e Expr) vkernel {
 // rowFallbackKernel is the universal kernel: materialize each batch row
 // into a scratch types.Row and delegate to the node's own Eval. Slow,
 // but guarantees coverage and bit-identity for anything not fast-pathed.
-func rowFallbackKernel(e Expr) vkernel {
+func rowFallbackKernel(e Expr) kernel {
 	var scratch types.Row
 	return func(b *vec.Batch, out *vec.Vector) error {
 		out.Reset(vec.KindAny, b.N)
@@ -119,7 +119,7 @@ func rowFallbackKernel(e Expr) vkernel {
 	}
 }
 
-func compileColRef(n *ColRef) vkernel {
+func compileColRef(n *ColRef) kernel {
 	idx, name := n.Idx, n.Name
 	return func(b *vec.Batch, out *vec.Vector) error {
 		if idx < 0 || idx >= len(b.Cols) {
@@ -131,7 +131,7 @@ func compileColRef(n *ColRef) vkernel {
 	}
 }
 
-func compileConst(n *Const) vkernel {
+func compileConst(n *Const) kernel {
 	d := n.D
 	return func(b *vec.Batch, out *vec.Vector) error {
 		if d.IsNull() {
@@ -157,7 +157,7 @@ func compileConst(n *Const) vkernel {
 	}
 }
 
-func compileBinOp(n *BinOp) vkernel {
+func compileBinOp(n *BinOp) kernel {
 	lk, rk := compileKernel(n.L), compileKernel(n.R)
 	op := n.Op
 	var lv, rv vec.Vector
@@ -247,7 +247,7 @@ func compileBinOp(n *BinOp) vkernel {
 	}
 }
 
-func compileCmp(n *Cmp) vkernel {
+func compileCmp(n *Cmp) kernel {
 	lk, rk := compileKernel(n.L), compileKernel(n.R)
 	op := n.Op
 	knownOp := op >= CmpEQ && op <= CmpGE
@@ -318,7 +318,7 @@ func compileCmp(n *Cmp) vkernel {
 	}
 }
 
-func compileLogic(n *Logic) vkernel {
+func compileLogic(n *Logic) kernel {
 	if n.Op == LogicNot {
 		ck := compileKernel(n.L)
 		var cv vec.Vector
@@ -350,7 +350,7 @@ func compileLogic(n *Logic) vkernel {
 	isAnd := n.Op == LogicAnd
 	var lv, rv vec.Vector
 	return func(b *vec.Batch, out *vec.Vector) error {
-		// Row mode evaluates both operands before combining (no error
+		// Eval evaluates both operands before combining (no error
 		// short-circuit), so whole-batch evaluation matches exactly.
 		if err := lk(b, &lv); err != nil {
 			return err
@@ -393,7 +393,7 @@ func compileLogic(n *Logic) vkernel {
 	}
 }
 
-func compileIsNull(n *IsNull) vkernel {
+func compileIsNull(n *IsNull) kernel {
 	ck := compileKernel(n.E)
 	negate := n.Negate
 	var cv vec.Vector
@@ -410,9 +410,9 @@ func compileIsNull(n *IsNull) vkernel {
 	}
 }
 
-func compileIn(n *In) vkernel {
+func compileIn(n *In) kernel {
 	// Fast path only when every list element is a literal (the common
-	// shape); arbitrary list expressions keep row mode's lazy per-row
+	// shape); arbitrary list expressions keep Eval's lazy per-row
 	// evaluation order via the fallback.
 	consts := make([]types.Datum, 0, len(n.List))
 	for _, le := range n.List {
@@ -450,12 +450,12 @@ func compileIn(n *In) vkernel {
 	}
 }
 
-func compileBetween(n *Between) vkernel {
+func compileBetween(n *Between) kernel {
 	ek, lok, hik := compileKernel(n.E), compileKernel(n.Lo), compileKernel(n.Hi)
 	negate := n.Negate
 	var ev, lov, hiv vec.Vector
 	return func(b *vec.Batch, out *vec.Vector) error {
-		// Row mode evaluates all three operands before the null check.
+		// Eval evaluates all three operands before the null check.
 		if err := ek(b, &ev); err != nil {
 			return err
 		}
@@ -501,7 +501,7 @@ func compileBetween(n *Between) vkernel {
 	}
 }
 
-func compileLike(n *Like) vkernel {
+func compileLike(n *Like) kernel {
 	ek := compileKernel(n.E)
 	pat, negate := n.Pattern, n.Negate
 	var ev vec.Vector
@@ -529,17 +529,17 @@ func compileLike(n *Like) vkernel {
 
 // compileCase evaluates each arm's condition only over the rows still
 // unmatched (gathered into a sub-batch) and each arm's value only over
-// the rows that matched it, preserving row mode's lazy-arm error
+// the rows that matched it, preserving Eval's lazy-arm error
 // semantics; results scatter back into the output by original row
 // index.
-func compileCase(n *Case) vkernel {
-	condKs := make([]vkernel, len(n.Whens))
-	valKs := make([]vkernel, len(n.Whens))
+func compileCase(n *Case) kernel {
+	condKs := make([]kernel, len(n.Whens))
+	valKs := make([]kernel, len(n.Whens))
 	for i, w := range n.Whens {
 		condKs[i] = compileKernel(w.Cond)
 		valKs[i] = compileKernel(w.Value)
 	}
-	var elseK vkernel
+	var elseK kernel
 	if n.Else != nil {
 		elseK = compileKernel(n.Else)
 	}
@@ -551,7 +551,7 @@ func compileCase(n *Case) vkernel {
 		for i := range remaining {
 			remaining[i] = i
 		}
-		runArm := func(sel []int, k vkernel, into *vec.Vector) error {
+		runArm := func(sel []int, k kernel, into *vec.Vector) error {
 			sub := gatherBatch(b, sel)
 			err := k(sub, into)
 			vec.Put(sub)
@@ -616,8 +616,8 @@ func gatherBatch(b *vec.Batch, sel []int) *vec.Batch {
 	return sub
 }
 
-func compileFunc(n *Func) vkernel {
-	argKs := make([]vkernel, len(n.Args))
+func compileFunc(n *Func) kernel {
+	argKs := make([]kernel, len(n.Args))
 	for i, a := range n.Args {
 		argKs[i] = compileKernel(a)
 	}
@@ -625,7 +625,7 @@ func compileFunc(n *Func) vkernel {
 	argVs := make([]vec.Vector, len(n.Args))
 	args := make([]types.Datum, len(n.Args))
 	return func(b *vec.Batch, out *vec.Vector) error {
-		// Row mode evaluates every argument, then the builtin.
+		// Eval evaluates every argument, then the builtin.
 		for i, k := range argKs {
 			if err := k(b, &argVs[i]); err != nil {
 				return err
@@ -647,7 +647,7 @@ func compileFunc(n *Func) vkernel {
 	}
 }
 
-func compileCast(n *Cast) vkernel {
+func compileCast(n *Cast) kernel {
 	ck := compileKernel(n.E)
 	to := n.To
 	var cv vec.Vector

@@ -192,7 +192,7 @@ func (d *Driver) planFingerprint() string {
 	if d.Cluster != nil {
 		epoch = d.Cluster.Epoch()
 	}
-	return fmt.Sprintf("mj=%d|agg=%t|proj=%t|push=%t|vec=%t|ce=%d",
+	return fmt.Sprintf("mj=%d|agg=%t|proj=%t|push=%t|ce=%d",
 		d.MapJoinThresholdBytes, d.DisableMapAggregation,
-		d.DisableProjection, d.DisablePushdown, d.Conf.Vectorized, epoch)
+		d.DisableProjection, d.DisablePushdown, epoch)
 }

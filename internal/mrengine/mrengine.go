@@ -145,14 +145,13 @@ func (e *Engine) Run(env *exec.Env, stage *exec.Stage, conf exec.EngineConf) (*e
 	}
 
 	st := &trace.Stage{
-		Name:       stage.ID,
-		Engine:     e.Name(),
-		NumMaps:    len(tasks),
-		NumReds:    numReduces,
-		Producers:  job.MapMetrics(),
-		Consumers:  job.ReduceMetrics(),
-		Comm:       job.Comm(),
-		Vectorized: conf.Vectorized,
+		Name:      stage.ID,
+		Engine:    e.Name(),
+		NumMaps:   len(tasks),
+		NumReds:   numReduces,
+		Producers: job.MapMetrics(),
+		Consumers: job.ReduceMetrics(),
+		Comm:      job.Comm(),
 	}
 	for i, m := range st.Producers {
 		m.LocalRead = tasks[i].Local

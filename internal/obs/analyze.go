@@ -56,11 +56,7 @@ func RenderAnalyzedPlan(q *trace.Query, degraded string, metricsSnap map[string]
 	sb.WriteString("\n\n")
 
 	for _, st := range q.Stages {
-		fmt.Fprintf(&sb, "STAGE %s [%s] maps=%d reds=%d", st.Name, st.Engine, st.NumMaps, st.NumReds)
-		if st.Vectorized {
-			fmt.Fprintf(&sb, " vectorized batches=%d", stageBatches(st))
-		}
-		sb.WriteByte('\n')
+		fmt.Fprintf(&sb, "STAGE %s [%s] maps=%d reds=%d\n", st.Name, st.Engine, st.NumMaps, st.NumReds)
 		if ti := timing[st.Name]; ti != nil {
 			fmt.Fprintf(&sb, "  start %ss  dur %ss  (startup %ss, map+shuffle %ss, others %ss)\n",
 				fmtSec(sim.Compile+ti.StartAt), fmtSec(ti.Total),
@@ -98,15 +94,6 @@ func RenderAnalyzedPlan(q *trace.Query, degraded string, metricsSnap map[string]
 		}
 	}
 	return sb.String()
-}
-
-// stageBatches sums the column batches the stage's map tasks processed.
-func stageBatches(st *trace.Stage) int64 {
-	var n int64
-	for _, t := range st.Producers {
-		n += t.Batches
-	}
-	return n
 }
 
 // stageRowsOut is the stage's emitted row count: consumer output when a

@@ -116,7 +116,6 @@ type StageRecord struct {
 	Categories map[string]float64 `json:"categories"`
 
 	ShuffleBytes int64 `json:"shuffle_bytes,omitempty"` // scaled to paper size
-	Vectorized   bool  `json:"vectorized,omitempty"`
 
 	// Comm is the analyzed communication matrix with skew statistics
 	// and per-rank waits (nil for stages without a shuffle).
@@ -238,7 +237,6 @@ func buildStage(st *trace.Stage, sim *perfmodel.StageTiming, key string, p *perf
 		OthersSec:     sim.Others,
 		Categories:    categorize(st, sim, p),
 		ShuffleBytes:  int64(float64(st.TotalShuffleBytes()) * p.ScaleUp),
-		Vectorized:    st.Vectorized,
 		Comm:          comm.AnalyzeStage(st, p),
 	}
 	if st.AdaptSplit != 0 || st.AdaptFused != 0 || st.AdaptSec > 0 {

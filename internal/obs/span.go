@@ -96,10 +96,6 @@ func buildStageSpan(st *trace.Stage, sr *perfmodel.StageTiming, compile float64)
 		Engine: st.Engine,
 	}
 	ss.attr("engine", st.Engine)
-	if st.Vectorized {
-		ss.attr("vectorized", "true")
-		ss.attr("batches", strconv.FormatInt(stageBatches(st), 10))
-	}
 	if len(st.DependsOn) > 0 {
 		ss.attr("depends_on", strings.Join(st.DependsOn, ","))
 	}

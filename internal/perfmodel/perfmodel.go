@@ -60,22 +60,18 @@ type Params struct {
 	Hadoop  EngineParams
 	DataMPI EngineParams
 	Compile float64 // per-query HiveQL compile seconds
-	// VectorizedCPUFactor scales per-record map CPU for stages that ran
-	// the columnar batch pipeline (kernel loops amortize per-row
-	// dispatch). 0 falls back to the default.
+	// VectorizedCPUFactor, when set, scales per-record map CPU: it
+	// models a Hive whose map operators run on column batches (kernel
+	// loops amortize per-row dispatch). The zero value models the
+	// paper's row-mode Hive 0.13 — no scaling — whatever the executor
+	// underneath does: what we execute is not what we model.
 	VectorizedCPUFactor float64
 }
 
-// defaultVectorizedCPUFactor reflects the measured batch-kernel win on
-// per-record operator CPU (see BENCH_vec.json).
-const defaultVectorizedCPUFactor = 0.45
-
-func (p *Params) vectorizedCPUFactor() float64 {
-	if p.VectorizedCPUFactor > 0 {
-		return p.VectorizedCPUFactor
-	}
-	return defaultVectorizedCPUFactor
-}
+// MeasuredVectorizedCPUFactor is the batch-kernel win on per-record
+// operator CPU measured by the microbenchmarks in BENCH_vec.json; the
+// `-exp vec` ablation simulates one trace with and without it.
+const MeasuredVectorizedCPUFactor = 0.45
 
 // DefaultParams is calibrated against the paper's §V numbers (TPC-H Q9
 // 40 GB: 802 s Hadoop vs 598 s DataMPI; HiBench ~30% average gain;
@@ -269,8 +265,8 @@ func (p *Params) mapTaskDuration(st *trace.Stage, t *trace.Task) (dur, readT, co
 	}
 	readT = diskIn/readBW + memIn/memBW
 	perRecord := c.CPUPerRecord
-	if st.Vectorized {
-		perRecord *= p.vectorizedCPUFactor()
+	if p.VectorizedCPUFactor > 0 {
+		perRecord *= p.VectorizedCPUFactor
 	}
 	computeT = recs*perRecord + in*c.CPUPerByte
 

@@ -1,6 +1,7 @@
 package perfmodel_test
 
 import (
+	"math"
 	"testing"
 
 	"hivempi/internal/core"
@@ -306,6 +307,63 @@ func TestFaultChargesExtendSimulatedTime(t *testing.T) {
 		}
 		if sim.Others <= p.SimulateStage(mk(engine)).Others {
 			t.Errorf("%s: stage recovery should land in Others", engine)
+		}
+	}
+}
+
+// TestVectorizedCPUFactorScalesOnlyPerRecordMapCPU: the factor is a
+// model parameter, not a property of the trace. Unset, it changes
+// nothing (the paper's row-mode Hive); set, it scales exactly the
+// per-record term of map compute — not reads, per-byte serde CPU, the
+// sort buffer, or anything on the reduce side.
+func TestVectorizedCPUFactorScalesOnlyPerRecordMapCPU(t *testing.T) {
+	stage := func(engine string) *trace.Stage {
+		return &trace.Stage{
+			Name: "s", Engine: engine, NumMaps: 2, NumReds: 1, NonBlocking: true, SendQueueSize: 6,
+			Producers: []*trace.Task{
+				{ID: 0, Kind: trace.KindMap, LocalRead: true, InputRecords: 4000, InputBytes: 1 << 20,
+					ShuffleOutPairs: 500, ShuffleOutBytes: 8 << 10},
+				// No records: only per-byte CPU, which the factor must not touch.
+				{ID: 1, Kind: trace.KindMap, LocalRead: true, InputBytes: 1 << 20},
+			},
+			Consumers: []*trace.Task{
+				{ID: 0, Kind: trace.KindReduce, InputRecords: 500, ShuffleInBytes: 8 << 10, WriteBytes: 1 << 10},
+			},
+		}
+	}
+	compute := func(s perfmodel.TaskSpan) float64 { return s.ComputeEnd - s.ReadEnd }
+	for _, engine := range []string{"hadoop", "datampi"} {
+		row := perfmodel.DefaultParams()
+		one := perfmodel.DefaultParams()
+		one.VectorizedCPUFactor = 1
+		vec := perfmodel.DefaultParams()
+		vec.VectorizedCPUFactor = perfmodel.MeasuredVectorizedCPUFactor
+
+		base, same, fast := row.SimulateStage(stage(engine)), one.SimulateStage(stage(engine)), vec.SimulateStage(stage(engine))
+		if base.Total != same.Total || compute(base.Producers[0]) != compute(same.Producers[0]) {
+			t.Errorf("%s: factor 1 moved the stage: %v vs unset %v", engine, same.Total, base.Total)
+		}
+
+		cpuFactor := row.Hadoop.CPUFactor
+		if engine == "datampi" {
+			cpuFactor = row.DataMPI.CPUFactor
+		}
+		saved := 4000 * row.ScaleUp * row.Cluster.CPUPerRecord * (1 - perfmodel.MeasuredVectorizedCPUFactor) * cpuFactor
+		if got := compute(base.Producers[0]) - compute(fast.Producers[0]); math.Abs(got-saved) > 1e-9*saved {
+			t.Errorf("%s: map compute shrank by %v, want the per-record share %v", engine, got, saved)
+		}
+		if compute(base.Producers[1]) != compute(fast.Producers[1]) {
+			t.Errorf("%s: a map task with no records changed: %v vs %v", engine,
+				compute(fast.Producers[1]), compute(base.Producers[1]))
+		}
+		for i := range base.Producers {
+			b, f := base.Producers[i], fast.Producers[i]
+			if b.ReadEnd-b.Start != f.ReadEnd-f.Start || b.End-b.ComputeEnd != f.End-f.ComputeEnd {
+				t.Errorf("%s: map task %d read or write time changed", engine, i)
+			}
+		}
+		if b, f := base.Consumers[0], fast.Consumers[0]; math.Abs((b.End-b.Start)-(f.End-f.Start)) > 1e-12 {
+			t.Errorf("%s: reduce task changed: %v vs %v", engine, f.End-f.Start, b.End-b.Start)
 		}
 	}
 }

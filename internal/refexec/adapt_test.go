@@ -14,14 +14,14 @@ import (
 
 // Skew-adaptive runtime reference tests: adaptive repartitioning,
 // placement and combiner re-sizing must never change a single result
-// byte, in row mode and vectorized alike.
+// byte.
 
 // newAdaptDriver builds the standard refexec driver with the
 // skew-adaptive runtime switched as requested. BytesPerReducer is
 // lowered so the tiny test tables still plan multi-reducer shuffles —
 // with the default 1 MB sizing every stage gets one reducer and the
 // adapt gates never see an adaptable stage.
-func newAdaptDriver(t *testing.T, adaptive, vectorized bool) *hive.Driver {
+func newAdaptDriver(t *testing.T, adaptive bool) *hive.Driver {
 	t.Helper()
 	env := &exec.Env{FS: dfs.New(dfs.Config{
 		BlockSize: 64 << 10,
@@ -31,7 +31,6 @@ func newAdaptDriver(t *testing.T, adaptive, vectorized bool) *hive.Driver {
 	conf.SpillDir = t.TempDir()
 	conf.Slaves = []string{"s1", "s2", "s3", "s4"}
 	conf.SlotsPerNode = 2
-	conf.Vectorized = vectorized
 	conf.BytesPerReducer = 8 << 10
 	d := hive.NewDriver(env, core.New(), conf)
 	d.AdaptiveSkew = adaptive
@@ -54,36 +53,28 @@ func adaptedStages(d *hive.Driver) (split, fused int) {
 }
 
 // TestAdaptiveSkewByteIdenticalAll22: the full TPC-H suite with the
-// adaptive runtime on must be byte-identical to the run with it off,
-// in both execution modes, and reference-correct.
+// adaptive runtime on must be byte-identical to the run with it off
+// and reference-correct.
 func TestAdaptiveSkewByteIdenticalAll22(t *testing.T) {
 	db := Load(testSF, testSeed)
-	for _, vec := range []bool{false, true} {
-		mode := "row"
-		if vec {
-			mode = "vectorized"
+	don := newAdaptDriver(t, true)
+	doff := newAdaptDriver(t, false)
+	for q := 1; q <= tpch.NumQueries; q++ {
+		script, err := tpch.Query(q)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(mode, func(t *testing.T) {
-			don := newAdaptDriver(t, true, vec)
-			doff := newAdaptDriver(t, false, vec)
-			for q := 1; q <= tpch.NumQueries; q++ {
-				script, err := tpch.Query(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				onRows := lastRows(t, don, script)
-				offRows := lastRows(t, doff, script)
-				rowsByteIdentical(t, q, onRows, offRows)
-				want, err := Query(db, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rowsMatch(t, q, onRows, want)
-			}
-			if split, fused := adaptedStages(doff); split != 0 || fused != 0 {
-				t.Fatalf("adaptation-off driver rewrote stages: split=%d fused=%d", split, fused)
-			}
-		})
+		onRows := lastRows(t, don, script)
+		offRows := lastRows(t, doff, script)
+		rowsByteIdentical(t, q, onRows, offRows)
+		want, err := Query(db, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rowsMatch(t, q, onRows, want)
+	}
+	if split, fused := adaptedStages(doff); split != 0 || fused != 0 {
+		t.Fatalf("adaptation-off driver rewrote stages: split=%d fused=%d", split, fused)
 	}
 }
 
@@ -151,7 +142,7 @@ const skewQuery = `SELECT d.g, count(*) AS c, min(b.v) AS lo, max(b.v) AS hi
 func TestSeededSkewAdaptationFires(t *testing.T) {
 	var rows [2][]types.Row
 	for i, adaptive := range []bool{true, false} {
-		d := newAdaptDriver(t, adaptive, false)
+		d := newAdaptDriver(t, adaptive)
 		d.MapJoinThresholdBytes = 1 // force the shuffle join
 		seedSkewTables(t, d, 4000)
 		// Twice: the second run also exercises Decide with the first

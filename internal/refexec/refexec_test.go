@@ -1,6 +1,7 @@
 package refexec
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -20,7 +21,9 @@ const (
 	testSeed = 42
 )
 
-func newDriverSeeded(t *testing.T, sf tpch.ScaleFactor, seed int64) *hive.Driver {
+// newLoadedDriver builds the standard refexec driver (DataMPI, four
+// nodes) over TPC-H generated at sf/seed in the given table format.
+func newLoadedDriver(t *testing.T, sf tpch.ScaleFactor, seed int64, format string) *hive.Driver {
 	t.Helper()
 	env := &exec.Env{FS: dfs.New(dfs.Config{
 		BlockSize: 64 << 10,
@@ -31,7 +34,7 @@ func newDriverSeeded(t *testing.T, sf tpch.ScaleFactor, seed int64) *hive.Driver
 	conf.Slaves = []string{"s1", "s2", "s3", "s4"}
 	conf.SlotsPerNode = 2
 	d := hive.NewDriver(env, core.New(), conf)
-	if err := tpch.Load(d, sf, seed, "textfile", 2); err != nil {
+	if err := tpch.Load(d, sf, seed, format, 2); err != nil {
 		t.Fatal(err)
 	}
 	return d
@@ -39,19 +42,7 @@ func newDriverSeeded(t *testing.T, sf tpch.ScaleFactor, seed int64) *hive.Driver
 
 func newDriver(t *testing.T) *hive.Driver {
 	t.Helper()
-	env := &exec.Env{FS: dfs.New(dfs.Config{
-		BlockSize: 64 << 10,
-		Nodes:     []string{"s1", "s2", "s3", "s4"},
-	})}
-	conf := exec.DefaultEngineConf()
-	conf.SpillDir = t.TempDir()
-	conf.Slaves = []string{"s1", "s2", "s3", "s4"}
-	conf.SlotsPerNode = 2
-	d := hive.NewDriver(env, core.New(), conf)
-	if err := tpch.Load(d, testSF, testSeed, "textfile", 2); err != nil {
-		t.Fatal(err)
-	}
-	return d
+	return newLoadedDriver(t, testSF, testSeed, "textfile")
 }
 
 // canon renders a row for order-insensitive matching; floats rounded.
@@ -110,31 +101,61 @@ func lastRows(t *testing.T, d *hive.Driver, script string) []types.Row {
 	return results[len(results)-1].Rows
 }
 
+// rowsByteIdentical asserts the two result sets are exactly equal —
+// same rows, same order, same encoded bytes (no float tolerance).
+func rowsByteIdentical(t *testing.T, q int, got, want []types.Row) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("Q%d: %d rows vs %d rows", q, len(got), len(want))
+	}
+	for i := range got {
+		if !bytes.Equal(types.EncodeRow(nil, got[i]), types.EncodeRow(nil, want[i])) {
+			t.Fatalf("Q%d row %d differs:\ngot:  %s\nwant: %s", q, i, canon(got[i]), canon(want[i]))
+		}
+	}
+}
+
+// TestEngineMatchesReferenceOnAll22Queries covers both scan paths: the
+// row-format adapter (text rows packed into batches) and the native
+// columnar scan (ORC stripes decoded straight into batches).
 func TestEngineMatchesReferenceOnAll22Queries(t *testing.T) {
 	db := Load(testSF, testSeed)
-	d := newDriver(t)
-	nonEmpty := 0
-	for q := 1; q <= tpch.NumQueries; q++ {
-		q := q
-		t.Run(tpch.QueryName(q), func(t *testing.T) {
-			script, err := tpch.Query(q)
-			if err != nil {
-				t.Fatal(err)
+	for _, format := range []string{"textfile", "orc"} {
+		d := newLoadedDriver(t, testSF, testSeed, format)
+		nonEmpty := 0
+		for q := 1; q <= tpch.NumQueries; q++ {
+			q := q
+			t.Run(format+"/"+tpch.QueryName(q), func(t *testing.T) {
+				script, err := tpch.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := lastRows(t, d, script)
+				want, err := Query(db, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rowsMatch(t, q, got, want)
+				if len(want) > 0 {
+					nonEmpty++
+				}
+			})
+		}
+		if nonEmpty < 12 {
+			t.Errorf("%s: only %d of 22 queries returned rows at this scale; "+
+				"validation coverage too thin", format, nonEmpty)
+		}
+		var batches int64
+		for _, qt := range d.Collector.Queries() {
+			for _, st := range qt.Stages {
+				for _, p := range st.Producers {
+					batches += p.Batches
+				}
 			}
-			got := lastRows(t, d, script)
-			want, err := Query(db, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rowsMatch(t, q, got, want)
-			if len(want) > 0 {
-				nonEmpty++
-			}
-		})
-	}
-	if nonEmpty < 12 {
-		t.Errorf("only %d of 22 queries returned rows at this scale; "+
-			"validation coverage too thin", nonEmpty)
+		}
+		if batches == 0 {
+			t.Errorf("%s: no map task recorded a batch", format)
+		}
 	}
 }
 
@@ -195,7 +216,7 @@ func TestEngineMatchesReferenceAcrossSeeds(t *testing.T) {
 	for _, seed := range []int64{7, 1234} {
 		seed := seed
 		db := Load(testSF, seed)
-		d := newDriverSeeded(t, testSF, seed)
+		d := newLoadedDriver(t, testSF, seed, "textfile")
 		for _, q := range queries {
 			script, err := tpch.Query(q)
 			if err != nil {

@@ -33,8 +33,8 @@ func benchORC(b *testing.B, blockSize int64) (*dfs.FileSystem, dfs.Split) {
 	return fs, dfs.Split{Path: "/bench.orc", Offset: 0, Length: sz}
 }
 
-// BenchmarkORCScanRow decodes the split row by row — the row-mode scan
-// the engine runs without hive.exec.vectorized.
+// BenchmarkORCScanRow decodes the split row by row — the reader behind
+// OpenSplit/ReadAll; map tasks scan through BenchmarkORCScanBatch's.
 func BenchmarkORCScanRow(b *testing.B) {
 	fs, split := benchORC(b, 256<<10)
 	schema := testSchema()

@@ -124,15 +124,14 @@ func OpenSplit(fs *dfs.FileSystem, split dfs.Split, f Format, schema *types.Sche
 
 // BatchReader iterates column batches; NextBatch fills b (whose
 // column count must match the schema) and returns io.EOF at end of
-// input. Unprojected columns come back all-null, mirroring row mode.
+// input. Unprojected columns come back all-null, as in OpenSplit's rows.
 type BatchReader interface {
 	NextBatch(b *vec.Batch) error
 }
 
 // OpenSplitBatch returns a batch reader over one input split. ORC
 // serves batches natively from its pruned column streams; row formats
-// are adapted by accumulating rows into datum-mode batches, so the
-// vectorized path is available for every format.
+// are adapted by packing rows into vectors typed from the schema.
 func OpenSplitBatch(fs *dfs.FileSystem, split dfs.Split, f Format, schema *types.Schema,
 	projection []int, predicate *Predicate) (BatchReader, error) {
 	if f == FormatORC {
@@ -146,22 +145,28 @@ func OpenSplitBatch(fs *dfs.FileSystem, split dfs.Split, f Format, schema *types
 	if err != nil {
 		return nil, err
 	}
-	return &rowBatchAdapter{rd: rd, width: schema.Len()}, nil
+	return &rowBatchAdapter{rd: rd, schema: schema}, nil
 }
 
-// rowBatchAdapter packs a RowReader's rows into datum-mode batches.
+// rowBatchAdapter packs a RowReader's rows into batches whose columns
+// carry the schema's kinds. Row formats do not enforce the schema
+// (Sequence files hold whatever datums were written), so a column
+// whose datum disagrees with its declared kind drops to datum mode
+// for that batch instead of storing the value through the wrong
+// payload.
 type rowBatchAdapter struct {
-	rd    RowReader
-	width int
-	eof   bool
+	rd     RowReader
+	schema *types.Schema
+	eof    bool
 }
 
 func (a *rowBatchAdapter) NextBatch(b *vec.Batch) error {
 	if a.eof {
 		return io.EOF
 	}
-	for ci := 0; ci < a.width; ci++ {
-		b.Cols[ci].Reset(vec.KindAny, vec.DefaultSize)
+	cols := b.Cols[:a.schema.Len()]
+	for ci, v := range cols {
+		v.Reset(a.schema.Columns[ci].Type, vec.DefaultSize)
 	}
 	n := 0
 	for n < vec.DefaultSize {
@@ -173,8 +178,15 @@ func (a *rowBatchAdapter) NextBatch(b *vec.Batch) error {
 		if err != nil {
 			return err
 		}
-		for ci := 0; ci < a.width && ci < len(row); ci++ {
-			b.Cols[ci].SetDatum(n, row[ci])
+		for ci, v := range cols {
+			var d types.Datum // a short row reads as NULLs
+			if ci < len(row) {
+				d = row[ci]
+			}
+			if !d.IsNull() && d.K != v.Kind && v.Kind != vec.KindAny {
+				v.Demote(n, vec.DefaultSize)
+			}
+			v.SetDatum(n, d)
 		}
 		n++
 	}

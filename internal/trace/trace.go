@@ -188,8 +188,8 @@ type Task struct {
 	ForcedFlushes int64
 	RecvRounds    int64
 
-	// Batches counts the column batches the vectorized map path
-	// processed (0 for row-mode tasks).
+	// Batches counts the column batches a map task pushed through its
+	// operator chain (0 for reduce tasks).
 	Batches int64
 }
 
@@ -238,10 +238,6 @@ type Stage struct {
 	// query's stage DAG). The perfmodel uses it for critical-path
 	// virtual-time accounting when the query ran DAG-overlapped.
 	DependsOn []string
-
-	// Vectorized marks that the stage's map tasks ran the columnar
-	// batch pipeline; the perfmodel discounts per-record CPU for it.
-	Vectorized bool
 
 	// Comm is the per-(producer, consumer) communication matrix the
 	// engine recorded for this stage's shuffle (nil for map-only stages

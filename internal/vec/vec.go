@@ -1,5 +1,5 @@
-// Package vec is the columnar batch layer under the vectorized
-// execution path: fixed-capacity column vectors with null bitmaps, the
+// Package vec is the columnar batch layer under map-side execution:
+// fixed-capacity column vectors with null bitmaps, the
 // Batch container operators hand each other, and a pool that recycles
 // batch memory across stages. The layout follows the classic
 // vectorized-engine shape (one typed payload array per column plus a
@@ -152,8 +152,8 @@ func (v *Vector) OrNullsFrom(src *Vector, n int) {
 }
 
 // Datum materializes row i as a types.Datum (types.Null() under a set
-// null bit). It is the slow-path bridge to row-mode code; kernels use
-// the typed payloads directly.
+// null bit). It is the slow-path bridge to row-at-a-time code; kernels
+// use the typed payloads directly.
 func (v *Vector) Datum(i int) types.Datum {
 	if v.Null(i) {
 		return types.Null()
@@ -193,6 +193,21 @@ func (v *Vector) SetDatum(i int, d types.Datum) {
 	case KindAny:
 		v.Any[i] = d
 	}
+}
+
+// Demote switches a typed vector to datum mode (KindAny) in place,
+// keeping its first n rows and their null bits, with capacity for size
+// rows. Producers that fill a column from untyped input use it when a
+// value turns up that the column's kind cannot hold.
+func (v *Vector) Demote(n, size int) {
+	if cap(v.Any) < size {
+		v.Any = make([]types.Datum, size)
+	}
+	v.Any = v.Any[:cap(v.Any)]
+	for i := 0; i < n; i++ {
+		v.Any[i] = v.Datum(i)
+	}
+	v.Kind = KindAny
 }
 
 // CopyFrom makes v an independent copy of src's first n rows (payload
@@ -249,9 +264,8 @@ func NewBatch(ncols, n int) *Batch {
 	return b
 }
 
-// Row materializes batch row i into dst (grown as needed) for row-mode
-// bridges: kernels falling back to Eval, and operators not yet
-// vectorized.
+// Row materializes batch row i into dst (grown as needed) for
+// row-at-a-time bridges such as kernels falling back to Eval.
 func (b *Batch) Row(i int, dst types.Row) types.Row {
 	if cap(dst) < len(b.Cols) {
 		dst = make(types.Row, len(b.Cols))
