@@ -73,6 +73,7 @@ var HotRootMethods = map[string]map[string][]string{
 		"orcWriter":       {"Write", "flushStripe"},
 		"orcSplitReader":  {"Next", "NextBatch", "loadStripe", "loadStripeVec", "readColumnStream"},
 		"textWriter":      {"Write"},
+		"textSplitReader": {"Next", "NextBatch", "readLine"},
 		"decodedColumn":   {"decode", "fillDatums", "fillVector"},
 		"rowBatchAdapter": {"NextBatch"},
 		"":                {"encodeColumn"},

@@ -1,7 +1,6 @@
 package datampi
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -26,8 +25,7 @@ type AContext struct {
 	peakCache  int64
 	spills     []*os.File
 
-	merged  *kvio.Merge
-	nextKV  *kvio.KV // one-pair lookahead for grouping
+	groups  *kvio.Grouper // over the merge of the cache and every spill run
 	metrics *trace.Task
 }
 
@@ -155,44 +153,19 @@ func (a *AContext) prepareIterator() error {
 	if err != nil {
 		return err
 	}
-	a.merged = m
+	a.groups = kvio.NewGrouper(m)
 	return nil
 }
 
-// NextKV returns the next pair in global key order, or io.EOF.
-func (a *AContext) NextKV() (kvio.KV, error) {
-	if a.nextKV != nil {
-		p := *a.nextKV
-		a.nextKV = nil
-		return p, nil
-	}
-	return a.merged.Next()
-}
-
 // NextGroup returns the next key and every value for it, in key order.
-// It returns io.EOF after the last group.
+// It returns io.EOF after the last group. The key and the values slice
+// are valid until the next call.
 func (a *AContext) NextGroup() ([]byte, [][]byte, error) {
-	first, err := a.NextKV()
-	if err != nil {
-		return nil, nil, err
+	k, vs, err := a.groups.NextGroup()
+	if err == nil {
+		a.metrics.ReduceGroups++
 	}
-	values := [][]byte{first.Value}
-	for {
-		p, err := a.NextKV()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		if !bytes.Equal(p.Key, first.Key) {
-			a.nextKV = &p
-			break
-		}
-		values = append(values, p.Value)
-	}
-	a.metrics.ReduceGroups++
-	return first.Key, values, nil
+	return k, vs, err
 }
 
 // cleanup removes spill runs.

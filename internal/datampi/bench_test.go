@@ -2,7 +2,6 @@ package datampi
 
 import (
 	"fmt"
-	"io"
 	"testing"
 )
 
@@ -34,15 +33,7 @@ func benchSend(b *testing.B, cfg Config) {
 			}
 			return nil
 		},
-		func(a *AContext) error {
-			for {
-				if _, _, err := a.NextGroup(); err == io.EOF {
-					return nil
-				} else if err != nil {
-					return err
-				}
-			}
-		})
+		drainGroups)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -64,4 +55,23 @@ func BenchmarkSendNonBlockingCombiner(b *testing.B) {
 			return vals[:1]
 		},
 	})
+}
+
+// BenchmarkShortOTask is one whole job per iteration whose single O
+// task sends 20 KiB over 8 partitions and finalizes: Hive's short,
+// irregular tasks, where what a task pays to get its Send Partition
+// List blocks outweighs what it pays to fill them. The BenchmarkSend*
+// above run one long-lived task and cannot see that cost.
+func BenchmarkShortOTask(b *testing.B) {
+	dir := b.TempDir()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		job, err := NewJob(Config{NumO: 1, NumA: 8, NonBlocking: true, SpillDir: dir})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := job.Run(shortOTask, drainGroups); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

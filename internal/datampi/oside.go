@@ -18,17 +18,10 @@ type OContext struct {
 	job  *Job
 	rank int
 
-	// Send Partition List: one buffer per A task (paper Fig. 7). Pairs
+	// Send Partition List: one block per A task (paper Fig. 7). Pairs
 	// are kept wire-encoded (kvio framing) so Send never clones keys or
-	// values — one append per pair into a pooled buffer.
+	// values — one append per pair into a pooled block.
 	partitions []partitionBuffer
-
-	// Send-buffer pool: flushed partition buffers return here once the
-	// transport has copied them (mpi.Send/Isend copy their payload), so
-	// steady-state Send allocates nothing. The pool is shared between
-	// the compute thread and the non-blocking sender goroutine.
-	bufMu   sync.Mutex
-	freeBuf [][]byte
 
 	// Non-blocking engine state.
 	sendQueue chan flushItem
@@ -49,14 +42,39 @@ type OContext struct {
 }
 
 type partitionBuffer struct {
-	data  []byte
+	blk   *block // nil until the task first sends to this partition
 	pairs int
 }
 
 type flushItem struct {
 	dest  int // A communicator rank
-	data  []byte
+	blk   *block
 	pairs int64 // post-combiner records, for comm-matrix attribution
+}
+
+// block is one Send Partition List buffer. Blocks are full-size
+// (SendBufferBytes plus slack) however little a task puts in them, so
+// they are shared by every task of every job in the process (the
+// paper's §IV-C buffer manager): a short O task touching many
+// partitions takes warm blocks instead of allocating its own. A block
+// goes back once the transport has copied it (mpi.Send and Isend copy
+// their payload) and finalize returns whatever the task still holds.
+type block struct{ data []byte }
+
+var blockPool sync.Pool
+
+// getBlock returns an empty block with full send-buffer capacity.
+func (o *OContext) getBlock() *block {
+	// Slack beyond the flush threshold so the pair that trips the
+	// threshold rarely forces a reallocation.
+	need := o.job.cfg.SendBufferBytes + 512
+	if b, _ := blockPool.Get().(*block); b != nil && cap(b.data) >= need {
+		b.data = b.data[:0]
+		return b
+	}
+	// Nothing pooled, or a block from a job with smaller buffers (left
+	// to the collector).
+	return &block{data: make([]byte, 0, need)}
 }
 
 func newOContext(j *Job, rank int) *OContext {
@@ -93,38 +111,6 @@ func (o *OContext) NumA() int { return o.job.cfg.NumA }
 // input-side counters.
 func (o *OContext) Metrics() *trace.Task { return o.metrics }
 
-// maxFreeBuffers bounds the per-task pool; beyond it buffers are left
-// to the garbage collector (SendQueueSize buffers can be in flight).
-const maxFreeBuffers = 8
-
-// getBuf returns an empty partition buffer with full send-buffer
-// capacity, reusing a previously flushed one when available.
-func (o *OContext) getBuf() []byte {
-	o.bufMu.Lock()
-	if n := len(o.freeBuf); n > 0 {
-		b := o.freeBuf[n-1]
-		o.freeBuf = o.freeBuf[:n-1]
-		o.bufMu.Unlock()
-		return b[:0]
-	}
-	o.bufMu.Unlock()
-	// Slack beyond the flush threshold so the pair that trips the
-	// threshold rarely forces a reallocation.
-	return make([]byte, 0, o.job.cfg.SendBufferBytes+512)
-}
-
-// putBuf recycles a buffer whose contents the transport has copied.
-func (o *OContext) putBuf(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	o.bufMu.Lock()
-	if len(o.freeBuf) < maxFreeBuffers {
-		o.freeBuf = append(o.freeBuf, b)
-	}
-	o.bufMu.Unlock()
-}
-
 // Send routes one key-value pair toward its aggregator (MPI_D_Send).
 func (o *OContext) Send(key, value []byte) error {
 	if o.finalized {
@@ -144,16 +130,16 @@ func (o *OContext) Send(key, value []byte) error {
 	o.metrics.PartitionBytes[part] += int64(sz)
 	o.pairIndex++
 
-	if pb.data == nil {
-		pb.data = o.getBuf()
+	if pb.blk == nil {
+		pb.blk = o.getBlock()
 	}
-	pb.data = kvio.AppendKV(pb.data, key, value)
+	pb.blk.data = kvio.AppendKV(pb.blk.data, key, value)
 	pb.pairs++
 	o.bufOccupancy += int64(sz)
 	if o.bufOccupancy > o.metrics.BufPeakBytes {
 		o.metrics.BufPeakBytes = o.bufOccupancy
 	}
-	if len(pb.data) >= o.job.cfg.SendBufferBytes {
+	if len(pb.blk.data) >= o.job.cfg.SendBufferBytes {
 		return o.flushPartition(part, false)
 	}
 	return nil
@@ -167,20 +153,24 @@ func (o *OContext) flushPartition(part int, force bool) error {
 		return errors.New("datampi: flush after finalize")
 	}
 	pb := &o.partitions[part]
-	data := pb.data
+	blk := pb.blk
 	pairs := int64(pb.pairs)
-	pb.data = nil
+	pb.blk = nil
 	pb.pairs = 0
-	o.bufOccupancy -= int64(len(data))
-	if len(data) == 0 {
-		o.putBuf(data)
-		return nil
-	}
+	// Whichever block is current when this returns has been copied by
+	// the transport or is not going anywhere; the non-blocking sender
+	// takes ownership of the one it is handed (blk = nil).
+	defer func() {
+		if blk != nil {
+			blockPool.Put(blk)
+		}
+	}()
+	o.bufOccupancy -= int64(len(blk.data))
 	if o.job.cfg.Combiner != nil {
 		// runCombiner consumes kvs within the call (grouping copies key
-		// references only as long as data is alive), so the []KV backing
-		// array is reusable across flushes.
-		kvs, err := kvio.DecodeAllInto(o.kvScratch[:0], data)
+		// references only as long as the block is alive), so the []KV
+		// backing array is reusable across flushes.
+		kvs, err := kvio.DecodeAllInto(o.kvScratch[:0], blk.data)
 		if err != nil {
 			return fmt.Errorf("datampi: partition %d buffer corrupt: %w", part, err)
 		}
@@ -188,14 +178,13 @@ func (o *OContext) flushPartition(part int, force bool) error {
 		combineBase := o.metrics.CombineOutPairs
 		combined := o.runCombiner(kvs)
 		pairs = o.metrics.CombineOutPairs - combineBase
-		o.putBuf(data)
-		data = combined
-		if len(data) == 0 {
-			o.putBuf(data)
+		blockPool.Put(blk)
+		blk = combined
+		if len(blk.data) == 0 {
 			return nil
 		}
 	}
-	o.metrics.ShuffleOutBytes += int64(len(data))
+	o.metrics.ShuffleOutBytes += int64(len(blk.data))
 	o.job.ctrFlushes.Inc()
 	if force {
 		// Residual flush finalize forced out (the buffer never reached
@@ -205,7 +194,7 @@ func (o *OContext) flushPartition(part int, force bool) error {
 	}
 	o.flushMark = append(o.flushMark, o.pairIndex)
 	o.metrics.SendEvents = append(o.metrics.SendEvents, trace.SendEvent{
-		Bytes: int64(len(data)),
+		Bytes: int64(len(blk.data)),
 		Dest:  part,
 	})
 
@@ -213,15 +202,14 @@ func (o *OContext) flushPartition(part int, force bool) error {
 		select {
 		case err := <-o.senderErr:
 			o.err = err
-			o.putBuf(data)
 			return err
-		case o.sendQueue <- flushItem{dest: part, data: data, pairs: pairs}:
-			// The sender goroutine recycles the buffer after Isend.
+		case o.sendQueue <- flushItem{dest: part, blk: blk, pairs: pairs}:
+			// The sender goroutine returns the block after Isend.
+			blk = nil
 			return nil
 		}
 	}
-	err := o.blockingFlush(part, data)
-	o.putBuf(data)
+	err := o.blockingFlush(part, blk.data)
 	if err == nil {
 		o.job.comm.AddRecords(o.rank, part, pairs)
 	}
@@ -254,9 +242,9 @@ func (o *OContext) blockingFlush(part int, data []byte) error {
 func (o *OContext) senderLoop() {
 	for item := range o.sendQueue {
 		dst := o.job.commA.WorldRank(item.dest)
-		req, err := o.job.world.Isend(o.rank, dst, tagData, item.data)
-		// Isend copies the payload, so the buffer recycles immediately.
-		o.putBuf(item.data)
+		req, err := o.job.world.Isend(o.rank, dst, tagData, item.blk.data)
+		// Isend copies the payload, so the block goes back immediately.
+		blockPool.Put(item.blk)
 		if err != nil {
 			select {
 			case o.senderErr <- fmt.Errorf("datampi: isend to A%d: %w", item.dest, err):
@@ -289,10 +277,10 @@ func (o *OContext) senderLoop() {
 
 // runCombiner groups the partition's pairs by key with a hash map in
 // first-seen key order and applies the user combiner, returning the
-// encoded output in a pooled buffer. Wire order is correctness-neutral
+// encoded output in a pooled block. Wire order is correctness-neutral
 // (the A side sorts before grouping), and first-seen order is
 // deterministic for a given input stream, unlike map iteration.
-func (o *OContext) runCombiner(kvs []kvio.KV) []byte {
+func (o *OContext) runCombiner(kvs []kvio.KV) *block {
 	o.metrics.CombineInPairs += int64(len(kvs))
 	groups := make(map[string]int, len(kvs))
 	keys := make([][]byte, 0, len(kvs))
@@ -307,10 +295,10 @@ func (o *OContext) runCombiner(kvs []kvio.KV) []byte {
 		}
 		vals[idx] = append(vals[idx], p.Value)
 	}
-	out := o.getBuf()
+	out := o.getBlock()
 	for i, key := range keys {
 		for _, v := range o.job.cfg.Combiner(key, vals[i]) {
-			out = kvio.AppendKV(out, key, v)
+			out.data = kvio.AppendKV(out.data, key, v)
 			o.metrics.CombineOutPairs++
 		}
 	}
@@ -326,8 +314,7 @@ func (o *OContext) finalize() error {
 	o.finalized = true
 	var errs []error
 	for part := range o.partitions {
-		pb := &o.partitions[part]
-		if pb.pairs > 0 || len(pb.data) > 0 {
+		if o.partitions[part].blk != nil {
 			if err := o.flushPartition(part, true); err != nil {
 				errs = append(errs, err)
 			}

@@ -20,7 +20,7 @@ import (
 type StreamSource func(o *OContext) (window uint32, key, value []byte, done bool, err error)
 
 // WindowResult delivers one key group of one closed window to the
-// application.
+// application. key and values are valid only during the call.
 type WindowResult func(window uint32, key []byte, values [][]byte) error
 
 // RunStreaming consumes the sources until exhaustion and delivers every

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"testing"
 
 	"hivempi/internal/dfs"
@@ -146,7 +147,8 @@ func TestShuffleKeyAndValueRoundTrip(t *testing.T) {
 	var m trace.Task
 	err := RunMapTask(env, EngineConf{}, stage, 0, wholeSplit(t, env, "/kv"),
 		func(k, v []byte) error {
-			keys, vals = append(keys, k), append(vals, v)
+			// The task encodes the next pair over k and v.
+			keys, vals = append(keys, bytes.Clone(k)), append(vals, bytes.Clone(v))
 			return nil
 		}, nil, &m)
 	if err != nil {

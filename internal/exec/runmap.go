@@ -88,7 +88,9 @@ func ApplyStraggler(m *trace.Task, delaySec float64, conf EngineConf) {
 type RowSink func(types.Row) error
 
 // KVEmit sends one shuffle pair (the engine wires this to Hadoop's
-// collector or DataMPI's MPI_D_Send).
+// collector or DataMPI's MPI_D_Send). key and value are valid only
+// during the call — the caller encodes the next pair over them — so an
+// implementation that keeps a pair copies it.
 type KVEmit func(key, value []byte) error
 
 // batchSink consumes one batch. The batch is only valid for the
@@ -551,9 +553,9 @@ func RunMapTask(env *Env, conf EngineConf, stage *Stage, mapIdx int, split dfs.S
 		keyVs := make([]vec.Vector, len(keyKs))
 		valVs := make([]vec.Vector, len(valKs))
 		valRow := make(types.Row, len(valKs))
-		// Pairs are sized from the longest seen so far: one allocation
-		// each instead of append's doubling chain.
-		keyCap, valCap := 0, 1
+		// Every pair is encoded into the same two buffers (KVEmit's
+		// contract lets emit see them only during its call).
+		var key, val []byte
 		terminal = func(b *vec.Batch) error {
 			if err := evalKernels(keyKs, b, keyVs); err != nil {
 				return err
@@ -562,15 +564,11 @@ func RunMapTask(env *Env, conf EngineConf, stage *Stage, mapIdx int, split dfs.S
 				return err
 			}
 			for lane := 0; lane < b.N; lane++ {
-				// Fresh key/value buffers per pair: emit implementations
-				// (collectors, send buffers) may retain them.
-				key, _ := appendLaneKey(make([]byte, 0, keyCap), keyVs, lane, descs)
-				keyCap = max(keyCap, len(key))
+				key, _ = appendLaneKey(key[:0], keyVs, lane, descs)
 				for i := range valVs {
 					valRow[i] = valVs[i].Datum(lane)
 				}
-				val := types.EncodeRow(append(make([]byte, 0, valCap), tagByte), valRow)
-				valCap = max(valCap, len(val))
+				val = types.EncodeRow(append(val[:0], tagByte), valRow)
 				if metrics != nil {
 					metrics.OutputRecords++
 					metrics.OutputBytes += int64(len(key) + len(val))

@@ -26,7 +26,8 @@ func (r *ReduceContext) NumReduces() int { return r.job.cfg.NumReduces }
 // Metrics exposes the task's trace record for engine-side counters.
 func (r *ReduceContext) Metrics() *trace.Task { return r.metrics }
 
-// NextGroup returns the next key and its values, or io.EOF.
+// NextGroup returns the next key and its values, or io.EOF. Both are
+// valid until the next call.
 func (r *ReduceContext) NextGroup() ([]byte, [][]byte, error) {
 	k, vs, err := r.grouper.NextGroup()
 	if err == nil {

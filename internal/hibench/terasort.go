@@ -91,6 +91,7 @@ func RunTeraSort(records [][2][]byte, numMaps, numReduces int,
 				if err != nil {
 					break
 				}
+				key = append([]byte(nil), key...) // valid only until the next group
 				for range vals {
 					keys = append(keys, key)
 				}

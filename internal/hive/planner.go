@@ -9,7 +9,7 @@ import (
 
 // Planner lowers SELECT statements into exec.Stage DAGs. It performs
 // the optimizations the paper's evaluation depends on: predicate
-// pushdown to table scans, column projection for ORC, map-join
+// pushdown to table scans, column projection for ORC and Text, map-join
 // selection for small tables, map-side partial aggregation, and the
 // staged join/aggregate/order decomposition that Hive's MapReduce
 // compiler produces.
@@ -25,7 +25,7 @@ type Planner struct {
 
 	// Ablation switches (benchmarking the planner's optimizations).
 	DisableMapAggregation bool // ship raw rows instead of partial states
-	DisableProjection     bool // read every ORC column
+	DisableProjection     bool // materialize every column of ORC and Text scans
 	DisablePushdown       bool // no ORC stripe-skip predicates
 
 	seq int
@@ -564,12 +564,14 @@ func columnsUsed(exprs []exec.Expr, ops []exec.MapOp, width int) []int {
 }
 
 // buildMapWork assembles a MapWork over rel with the given shuffle
-// emission, applying ORC column projection for base scans.
+// emission, applying column projection for base scans of the formats
+// that honour one (Sequence files hold undeclared kinds and always
+// fill the full row).
 func (p *Planner) buildMapWork(rel *relation, extraOps []exec.MapOp,
 	tag int, keys, values []exec.Expr) exec.MapWork {
 	ops := append(append([]exec.MapOp{}, rel.pending...), extraOps...)
 	input := rel.input
-	if rel.base && input.Format == storage.FormatORC && !p.DisableProjection {
+	if rel.base && input.Format != storage.FormatSequence && !p.DisableProjection {
 		var exprs []exec.Expr
 		exprs = append(exprs, keys...)
 		exprs = append(exprs, values...)

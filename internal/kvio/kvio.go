@@ -464,19 +464,21 @@ func (m *Merge) Next() (KV, error) {
 
 // Grouper wraps a merged stream into key-grouped iteration.
 type Grouper struct {
-	src  Source
-	next *KV
+	src     Source
+	next    KV // look-ahead: the first pair of the next group
+	hasNext bool
+	values  [][]byte // the current group's values, reused across groups
 }
 
 // NewGrouper wraps src (which must be globally key-sorted).
 func NewGrouper(src Source) *Grouper { return &Grouper{src: src} }
 
-// NextGroup returns the next key and all its values, or io.EOF.
+// NextGroup returns the next key and all its values, or io.EOF. Both
+// are valid until the next call, which reuses the values slice.
 func (g *Grouper) NextGroup() ([]byte, [][]byte, error) {
-	var first KV
-	if g.next != nil {
-		first = *g.next
-		g.next = nil
+	first := g.next
+	if g.hasNext {
+		g.hasNext = false
 	} else {
 		var err error
 		first, err = g.src.Next()
@@ -484,7 +486,7 @@ func (g *Grouper) NextGroup() ([]byte, [][]byte, error) {
 			return nil, nil, err
 		}
 	}
-	values := [][]byte{first.Value}
+	g.values = append(g.values[:0], first.Value)
 	for {
 		p, err := g.src.Next()
 		if err == io.EOF {
@@ -494,10 +496,10 @@ func (g *Grouper) NextGroup() ([]byte, [][]byte, error) {
 			return nil, nil, err
 		}
 		if !bytes.Equal(p.Key, first.Key) {
-			g.next = &p
+			g.next, g.hasNext = p, true
 			break
 		}
-		values = append(values, p.Value)
+		g.values = append(g.values, p.Value)
 	}
-	return first.Key, values, nil
+	return first.Key, g.values, nil
 }

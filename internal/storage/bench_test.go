@@ -1,10 +1,13 @@
 package storage
 
 import (
+	"fmt"
 	"io"
+	"math/rand"
 	"testing"
 
 	"hivempi/internal/dfs"
+	"hivempi/internal/types"
 	"hivempi/internal/vec"
 )
 
@@ -165,5 +168,75 @@ func BenchmarkORCOpenSplits(b *testing.B) {
 		if n != 20000 {
 			b.Fatalf("read %d rows", n)
 		}
+	}
+}
+
+// BenchmarkTextScanBatch parses a 20k-line file of HiBench's 9-column
+// uservisits shape through the batch reader: with the three columns
+// the JOIN query reads of it, and with all nine.
+func BenchmarkTextScanBatch(b *testing.B) {
+	schema := types.NewSchema(
+		types.Col("sourceip", types.KindString), types.Col("desturl", types.KindString),
+		types.Col("visitdate", types.KindDate), types.Col("adrevenue", types.KindFloat),
+		types.Col("useragent", types.KindString), types.Col("countrycode", types.KindString),
+		types.Col("languagecode", types.KindString), types.Col("searchword", types.KindString),
+		types.Col("duration", types.KindInt))
+	const rows = 20000
+	fs := dfs.New(dfs.Config{BlockSize: 1 << 20, Nodes: []string{"n1"}})
+	w, err := CreateTableFile(fs, "/uservisits", FormatText, schema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < rows; i++ {
+		if err := w.Write(types.Row{
+			types.String(fmt.Sprintf("158.112.%d.%d", r.Intn(256), r.Intn(256))),
+			types.String(fmt.Sprintf("http://site%03d.example.com/page%d.html", r.Intn(997), r.Intn(100000))),
+			types.Date(10592 + r.Int63n(730)),
+			types.Float(float64(r.Intn(100000)) / 100),
+			types.String("Mozilla/5.0"), types.String("USA"), types.String("en"), types.String("camera"),
+			types.Int(int64(1 + r.Intn(10))),
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	size, err := fs.Size("/uservisits")
+	if err != nil {
+		b.Fatal(err)
+	}
+	split := dfs.Split{Path: "/uservisits", Length: size}
+	for _, bc := range []struct {
+		name       string
+		projection []int
+	}{{"project3", []int{0, 1, 3}}, {"all", nil}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(size)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rd, err := OpenSplitBatch(fs, split, FormatText, schema, bc.projection, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				batch := vec.Get(schema.Len())
+				n := 0
+				for {
+					err := rd.NextBatch(batch)
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+					n += batch.N
+				}
+				vec.Put(batch)
+				if n != rows {
+					b.Fatalf("read %d rows", n)
+				}
+			}
+		})
 	}
 }

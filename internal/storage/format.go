@@ -101,9 +101,11 @@ type PhysicalReader interface {
 // its own boundary rule: text splits break at line boundaries, sequence
 // splits at sync markers, ORC splits at stripe starts.
 //
-// projection optionally lists the column ordinals to materialize (ORC
-// reads only those columns; row formats fill the full row regardless).
-// predicate optionally enables stripe skipping in ORC.
+// projection optionally lists the column ordinals to materialize: ORC
+// reads only those columns; Text still checks every field of every line
+// but stores only those; Sequence fills the full row regardless.
+// Unprojected columns come back NULL. predicate optionally enables
+// stripe skipping in ORC.
 func OpenSplit(fs *dfs.FileSystem, split dfs.Split, f Format, schema *types.Schema,
 	projection []int, predicate *Predicate) (RowReader, error) {
 	r, err := fs.Open(split.Path)
@@ -112,7 +114,7 @@ func OpenSplit(fs *dfs.FileSystem, split dfs.Split, f Format, schema *types.Sche
 	}
 	switch f {
 	case FormatText:
-		return newTextSplitReader(r, split.Offset, split.Length, schema)
+		return newTextSplitReader(r, split.Offset, split.Length, schema, projection)
 	case FormatSequence:
 		return newSeqSplitReader(r, split.Offset, split.Length, schema)
 	case FormatORC:
@@ -130,20 +132,17 @@ type BatchReader interface {
 }
 
 // OpenSplitBatch returns a batch reader over one input split. ORC
-// serves batches natively from its pruned column streams; row formats
-// are adapted by packing rows into vectors typed from the schema.
+// serves batches from its pruned column streams and Text parses lines
+// straight into vectors; Sequence rows are packed into vectors typed
+// from the schema.
 func OpenSplitBatch(fs *dfs.FileSystem, split dfs.Split, f Format, schema *types.Schema,
 	projection []int, predicate *Predicate) (BatchReader, error) {
-	if f == FormatORC {
-		r, err := fs.Open(split.Path)
-		if err != nil {
-			return nil, err
-		}
-		return newORCSplitReader(r, split.Offset, split.Length, schema, projection, predicate)
-	}
 	rd, err := OpenSplit(fs, split, f, schema, projection, predicate)
 	if err != nil {
 		return nil, err
+	}
+	if br, ok := rd.(BatchReader); ok {
+		return br, nil
 	}
 	return &rowBatchAdapter{rd: rd, schema: schema}, nil
 }

@@ -80,21 +80,3 @@ func (s *Schema) String() string {
 	}
 	return "(" + strings.Join(parts, ", ") + ")"
 }
-
-// ParseRowText parses one text-serde line into a row for the schema.
-func ParseRowText(line string, delim byte, s *Schema) (Row, error) {
-	fields := strings.Split(line, string(delim))
-	if len(fields) != len(s.Columns) {
-		return nil, fmt.Errorf("row has %d fields, schema %s has %d",
-			len(fields), s, len(s.Columns))
-	}
-	row := make(Row, len(fields))
-	for i, f := range fields {
-		d, err := ParseText(f, s.Columns[i].Type)
-		if err != nil {
-			return nil, fmt.Errorf("column %s: %w", s.Columns[i].Name, err)
-		}
-		row[i] = d
-	}
-	return row, nil
-}

@@ -112,10 +112,13 @@ func (v *Vector) ClearNull(i int) {
 	v.nulls[i>>6] &^= 1 << (uint(i) & 63)
 }
 
-// SetNullRange marks rows [lo,hi) NULL.
+// SetNullRange marks rows [lo,hi) NULL, a word at a time.
 func (v *Vector) SetNullRange(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		v.SetNull(i)
+	for lo < hi {
+		w, bit := lo>>6, uint(lo)&63
+		n := min(hi-lo, 64-int(bit))
+		v.nulls[w] |= (^uint64(0) >> (64 - uint(n))) << bit
+		lo += n
 	}
 }
 

@@ -63,6 +63,23 @@ func TestNullBitmap(t *testing.T) {
 	}
 }
 
+// TestSetNullRangeSetsExactlyTheRange: every [lo,hi) over three words,
+// including the empty range and ranges ending on a word boundary.
+func TestSetNullRangeSetsExactlyTheRange(t *testing.T) {
+	const n = 192
+	for lo := 0; lo <= n; lo++ {
+		for hi := lo; hi <= n; hi++ {
+			v := NewVector(types.KindInt, n)
+			v.SetNullRange(lo, hi)
+			for i := 0; i < n; i++ {
+				if want := i >= lo && i < hi; v.Null(i) != want {
+					t.Fatalf("SetNullRange(%d,%d): Null(%d) = %v", lo, hi, i, v.Null(i))
+				}
+			}
+		}
+	}
+}
+
 func TestAnyNullsTailWordMasking(t *testing.T) {
 	v := NewVector(types.KindInt, 128)
 	v.SetNull(100)
