@@ -57,8 +57,9 @@ soak:
 		-run 'TestNodeLossSoak|TestChaosSoak' ./internal/refexec/ \
 		| tee soak.log
 
-# bench runs the shuffle hot-path microbenchmarks (kvio framing,
-# MPI_D_Send, dfs memory tier) and writes the parsed numbers to
+# bench runs the shuffle hot-path microbenchmarks (kvio framing, merge
+# and run reader, MPI_D_Send, dfs memory tier, the Hadoop map-output
+# and reduce-input paths) and writes the parsed numbers to
 # BENCH_shuffle.json.
 # Each benchmark runs BENCH_COUNT times and benchfmt keeps the fastest
 # run, which damps scheduler/noisy-neighbour interference in the
@@ -66,7 +67,7 @@ soak:
 BENCH_COUNT ?= 3
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) \
-		./internal/kvio/ ./internal/datampi/ ./internal/dfs/ \
+		./internal/kvio/ ./internal/datampi/ ./internal/dfs/ ./internal/hadoop/ \
 		| tee /dev/stderr | $(GO) run ./cmd/benchfmt > BENCH_shuffle.json
 	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) ./internal/vec/ ./internal/exec/ ./internal/storage/ \
 		| tee /dev/stderr | $(GO) run ./cmd/benchfmt > BENCH_vec.json
@@ -93,7 +94,7 @@ bundles:
 BENCH_TOL ?= 0.10
 benchdiff: bundles
 	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) \
-		./internal/kvio/ ./internal/datampi/ ./internal/dfs/ \
+		./internal/kvio/ ./internal/datampi/ ./internal/dfs/ ./internal/hadoop/ \
 		| $(GO) run ./cmd/benchfmt > /tmp/bench_current.json
 	$(GO) run ./cmd/benchdiff -tolerance $(BENCH_TOL) -attr $(BUNDLE_DIR) BENCH_shuffle.json /tmp/bench_current.json
 	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) ./internal/vec/ ./internal/exec/ ./internal/storage/ \

@@ -46,10 +46,12 @@ var CtxLeakPackages = []string{"hive", "core", "datampi"}
 
 // HotRootPackages contribute every declared function as a hot-path
 // root for metricshot and hotalloc: the shuffle library, the kv wire
-// format, and the columnar batch layer (vec runs per batch inside
-// every map-side operator). These are exactly the packages whose
-// alloc budgets are committed in BENCH_shuffle.json / BENCH_vec.json.
-var HotRootPackages = []string{"kvio", "datampi", "vec"}
+// format, the columnar batch layer (vec runs per batch inside every
+// map-side operator), and the baseline engine, whose collect, spill
+// and merge loops run per emitted pair. These are exactly the packages
+// whose alloc budgets are committed in BENCH_shuffle.json /
+// BENCH_vec.json.
+var HotRootPackages = []string{"kvio", "datampi", "vec", "hadoop"}
 
 // HotRootMethods are individual hot entry points outside those
 // packages, keyed by internal package name, then receiver type name

@@ -72,6 +72,13 @@ func NewAggState(spec AggSpec) *AggState {
 	return st
 }
 
+// reset empties the accumulator for the next group.
+func (st *AggState) reset() {
+	st.acc = types.Datum{}
+	st.count = 0
+	clear(st.set)
+}
+
 func addNumeric(acc, d types.Datum) types.Datum {
 	if acc.IsNull() {
 		if d.K == types.KindFloat {

@@ -19,6 +19,13 @@ type ReduceDriver struct {
 	limitLeft int
 	groupsFed int
 	closed    bool
+
+	// Per-group scratch, reset by each Feed instead of reallocated:
+	// nothing emitted refers to it (group-by output copies keyRow and
+	// takes Final values; join buckets only hold freshly decoded rows).
+	keyRow  types.Row
+	states  []*AggState
+	buckets [][]types.Row
 }
 
 // NewReduceDriver builds the post chain ending at out.
@@ -87,9 +94,10 @@ func buildPost(ops []MapOp, sink RowSink) (RowSink, error) {
 	return sink, nil
 }
 
-// decodeKey reverses the order-preserving key encoding.
+// decodeKey reverses the order-preserving key encoding into the
+// driver's key row, valid until the next call.
 func (d *ReduceDriver) decodeKey(key []byte) (types.Row, error) {
-	out := make(types.Row, 0, len(d.work.KeyKinds))
+	out := d.keyRow[:0]
 	pos := 0
 	for i, k := range d.work.KeyKinds {
 		desc := false
@@ -103,6 +111,7 @@ func (d *ReduceDriver) decodeKey(key []byte) (types.Row, error) {
 		out = append(out, dat)
 		pos += n
 	}
+	d.keyRow = out
 	return out, nil
 }
 
@@ -153,9 +162,15 @@ func (d *ReduceDriver) Feed(key []byte, values [][]byte) error {
 // feedGroupBy merges partial states (or raw values in complete mode)
 // and emits key ++ finals.
 func (d *ReduceDriver) feedGroupBy(op *GroupByReduce, keyRow types.Row, values [][]byte) error {
-	states := make([]*AggState, len(op.Aggs))
-	for i, spec := range op.Aggs {
-		states[i] = NewAggState(spec)
+	if d.states == nil {
+		d.states = make([]*AggState, len(op.Aggs))
+		for i, spec := range op.Aggs {
+			d.states[i] = NewAggState(spec)
+		}
+	}
+	states := d.states
+	for _, st := range states {
+		st.reset()
 	}
 	for _, v := range values {
 		_, row, err := decodeValue(v)
@@ -202,7 +217,14 @@ func (d *ReduceDriver) feedGroupBy(op *GroupByReduce, keyRow types.Row, values [
 // feedJoin buckets the group's rows by tag and emits the join of the
 // buckets, left-folding with the configured join types.
 func (d *ReduceDriver) feedJoin(op *JoinReduce, values [][]byte) error {
-	buckets := make([][]types.Row, op.TagCount)
+	if d.buckets == nil {
+		d.buckets = make([][]types.Row, op.TagCount)
+	}
+	buckets := d.buckets
+	for t := range buckets {
+		clear(buckets[t]) // do not pin the last group's rows
+		buckets[t] = buckets[t][:0]
+	}
 	for _, v := range values {
 		tag, row, err := decodeValue(v)
 		if err != nil {

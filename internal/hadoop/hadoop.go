@@ -122,21 +122,38 @@ type Job struct {
 	completed  chan int // map IDs in completion order
 }
 
-// mapOutput is the materialized, partition-indexed output of one map
-// task (the file.out + index of real Hadoop). Data lives in a local
-// temp file; offsets[p]..offsets[p+1] delimit partition p.
+// mapOutput is one sorted, partition-indexed run on local disk: a spill
+// while its map task runs, and the task's published output (the
+// file.out + index of real Hadoop) once it completes.
+// offsets[p]..offsets[p+1] delimit partition p; a task that emitted
+// nothing publishes all-zero offsets and no file.
 type mapOutput struct {
 	file    *os.File
-	offsets []int64
+	offsets []int64 // len NumReduces+1
 }
 
-func (mo *mapOutput) partition(p int) ([]byte, error) {
-	lo, hi := mo.offsets[p], mo.offsets[p+1]
-	buf := make([]byte, hi-lo)
-	if _, err := mo.file.ReadAt(buf, lo); err != nil && !(err == io.EOF && int64(len(buf)) == hi-lo) {
-		return nil, err
+// size returns partition p's length in bytes.
+func (mo *mapOutput) size(p int) int { return int(mo.offsets[p+1] - mo.offsets[p]) }
+
+// readPartition fills dst, which must be size(p) long, with partition p.
+func (mo *mapOutput) readPartition(p int, dst []byte) error {
+	if len(dst) == 0 {
+		return nil
 	}
-	return buf, nil
+	if n, err := mo.file.ReadAt(dst, mo.offsets[p]); err != nil && !(err == io.EOF && n == len(dst)) {
+		return err
+	}
+	return nil
+}
+
+// discard closes and deletes the run's file.
+func (mo *mapOutput) discard() {
+	if mo.file == nil {
+		return
+	}
+	name := mo.file.Name()
+	mo.file.Close()
+	os.Remove(name)
 }
 
 // NewJob validates the configuration.
@@ -249,17 +266,8 @@ func (f *completionFanout) subscribe(r int) <-chan int { return f.subs[r] }
 
 func (j *Job) cleanup() {
 	for _, mo := range j.mapOutputs {
-		if mo != nil && mo.file != nil {
-			name := mo.file.Name()
-			mo.file.Close()
-			os.Remove(name)
+		if mo != nil {
+			mo.discard()
 		}
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -107,14 +107,6 @@ func TestWordCountTinySortBufferForcesSpills(t *testing.T) {
 
 func TestCombinerReducesShuffleBytes(t *testing.T) {
 	words, want := wordCorpus(4000)
-	sum := func(key []byte, values [][]byte) [][]byte {
-		total := 0
-		for _, v := range values {
-			n, _ := strconv.Atoi(string(v))
-			total += n
-		}
-		return [][]byte{[]byte(strconv.Itoa(total))}
-	}
 	shuffleBytes := func(comb Combiner) (map[string]int, int64) {
 		cfg := Config{NumMaps: 2, NumReduces: 2, Combiner: comb, SpillDir: t.TempDir()}
 		got, job := runWordCount(t, cfg, words)
@@ -125,7 +117,7 @@ func TestCombinerReducesShuffleBytes(t *testing.T) {
 		return got, b
 	}
 	plain, plainBytes := shuffleBytes(nil)
-	combined, combinedBytes := shuffleBytes(sum)
+	combined, combinedBytes := shuffleBytes(sumCombiner)
 	checkCounts(t, plain, want)
 	checkCounts(t, combined, want)
 	if combinedBytes >= plainBytes {

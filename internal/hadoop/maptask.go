@@ -1,11 +1,16 @@
 package hadoop
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"math/bits"
 	"os"
-	"sort"
+	"slices"
+	"sync"
 
 	"hivempi/internal/kvio"
 	"hivempi/internal/trace"
@@ -20,26 +25,116 @@ type MapContext struct {
 	taskID  int
 	metrics *trace.Task
 
-	pairs      []mapPair
-	pairBytes  int
-	spills     []*spillFile
+	buf        *collectBuffer // nil on a map-only job and once released
+	spills     []*mapOutput
 	emitCount  int64
 	flushMarks []int64
 }
 
-type mapPair struct {
-	part int
-	kv   kvio.KV
+// collectBuffer is the map-side sort buffer: Hadoop's kvbuffer (the
+// serialized pairs, one contiguous arena) and kvmeta (a fixed-width
+// index over it). Sorting permutes the index only, a spill writes pairs
+// out of the arena in index order, and nothing in either holds a
+// pointer, so the collector sees one object however many pairs a task
+// emits. Buffers are recycled through collectBuffers across spills,
+// tasks and jobs.
+type collectBuffer struct {
+	arena []byte   // wire-encoded pairs in emission order; len is Σ WireSize
+	index []kvMeta // one entry per collected pair
+	vals  [][]byte // the combiner's values argument, rebuilt per key
+	enc   []byte   // wire scratch for pairs not written out of the arena
+
+	out *bufio.Writer // the file being written, Reset per spill/file.out
+	n   int64         // bytes written to it so far
 }
 
-// spillFile is one sorted run on local disk with per-partition offsets.
-type spillFile struct {
-	file    *os.File
-	offsets []int64 // len NumReduces+1
+// kvMeta locates one collected pair in the arena. The pair's wire
+// bytes surround the key: length varints sit just before koff and
+// between key and value.
+type kvMeta struct {
+	part int // reduce partition
+	koff int // key offset; emission order, since the arena only grows
+	klen int
+	vlen int
+}
+
+var collectBuffers = sync.Pool{New: func() any {
+	return &collectBuffer{out: bufio.NewWriterSize(nil, 64<<10)}
+}}
+
+func uvarintLen(v int) int { return (bits.Len64(uint64(v)|1) + 6) / 7 }
+
+// wire returns the pair's encoded bytes, value its value. Both are
+// capped so an append by a combiner cannot reach the next pair.
+func (b *collectBuffer) wire(e kvMeta) []byte {
+	end := e.koff + e.klen + uvarintLen(e.vlen) + e.vlen
+	return b.arena[e.koff-uvarintLen(e.klen) : end : end]
+}
+
+func (b *collectBuffer) key(e kvMeta) []byte {
+	return b.arena[e.koff : e.koff+e.klen : e.koff+e.klen]
+}
+
+func (b *collectBuffer) value(e kvMeta) []byte {
+	off := e.koff + e.klen + uvarintLen(e.vlen)
+	return b.arena[off : off+e.vlen : off+e.vlen]
+}
+
+// begin points the writer at a new file.
+func (b *collectBuffer) begin(f *os.File) {
+	b.out.Reset(f)
+	b.n = 0
+}
+
+func (b *collectBuffer) write(p []byte) error {
+	n, err := b.out.Write(p)
+	b.n += int64(n)
+	return err
+}
+
+func (b *collectBuffer) writeKV(key, value []byte) error {
+	b.enc = kvio.AppendKV(b.enc[:0], key, value)
+	return b.write(b.enc)
+}
+
+// drain writes every pair of a merged stream. Only io.EOF ends the
+// stream: any other error means pairs are missing, and the file must
+// not be published.
+func (b *collectBuffer) drain(src kvio.Source) error {
+	for {
+		kv, err := src.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("hadoop: merge spills: %w", err)
+		}
+		if err := b.writeKV(kv.Key, kv.Value); err != nil {
+			return fmt.Errorf("hadoop: write map output: %w", err)
+		}
+	}
 }
 
 func (j *Job) newMapContext(taskID int) *MapContext {
-	return &MapContext{job: j, taskID: taskID, metrics: j.mapMetrics[taskID]}
+	m := &MapContext{job: j, taskID: taskID, metrics: j.mapMetrics[taskID]}
+	if j.cfg.NumReduces > 0 {
+		m.buf = collectBuffers.Get().(*collectBuffer)
+	}
+	return m
+}
+
+// release hands the collect buffer back to the pool. The pooled buffer
+// keeps its capacity and nothing else: no pair, no file.
+func (m *MapContext) release() {
+	b := m.buf
+	if b == nil {
+		return
+	}
+	m.buf = nil
+	b.arena, b.index = b.arena[:0], b.index[:0]
+	clear(b.vals[:cap(b.vals)])
+	b.out.Reset(nil)
+	collectBuffers.Put(b)
 }
 
 // TaskID returns the map task's index.
@@ -51,7 +146,8 @@ func (m *MapContext) NumReduces() int { return m.job.cfg.NumReduces }
 // Metrics exposes the task's trace record for engine-side counters.
 func (m *MapContext) Metrics() *trace.Task { return m.metrics }
 
-// Emit collects one intermediate pair.
+// Emit collects one intermediate pair. Key and value are copied into
+// the sort buffer before Emit returns; the caller may reuse both.
 func (m *MapContext) Emit(key, value []byte) error {
 	if m.job.cfg.NumReduces == 0 {
 		return errors.New("hadoop: Emit on a map-only job")
@@ -60,18 +156,19 @@ func (m *MapContext) Emit(key, value []byte) error {
 	if part < 0 || part >= m.job.cfg.NumReduces {
 		return fmt.Errorf("hadoop: partitioner returned %d for %d reduces", part, m.job.cfg.NumReduces)
 	}
-	kv := kvio.KV{
-		Key:   append([]byte(nil), key...),
-		Value: append([]byte(nil), value...),
-	}
-	m.pairs = append(m.pairs, mapPair{part: part, kv: kv})
-	sz := kv.WireSize()
-	m.pairBytes += sz
+	b := m.buf
+	start := len(b.arena)
+	b.arena = binary.AppendUvarint(b.arena, uint64(len(key)))
+	koff := len(b.arena)
+	b.arena = append(b.arena, key...)
+	b.arena = binary.AppendUvarint(b.arena, uint64(len(value)))
+	b.arena = append(b.arena, value...)
+	b.index = append(b.index, kvMeta{part: part, koff: koff, klen: len(key), vlen: len(value)})
 	m.metrics.CollectSizes.Observe(len(key) + len(value))
 	m.metrics.ShuffleOutPairs++
-	m.metrics.PartitionBytes[part] += int64(sz)
+	m.metrics.PartitionBytes[part] += int64(len(b.arena) - start)
 	m.emitCount++
-	if m.pairBytes >= m.job.cfg.SortBufferBytes {
+	if len(b.arena) >= m.job.cfg.SortBufferBytes {
 		return m.sortAndSpill()
 	}
 	return nil
@@ -80,54 +177,63 @@ func (m *MapContext) Emit(key, value []byte) error {
 // sortAndSpill sorts the buffer by (partition, key) and writes one spill
 // run with a partition index, applying the combiner when configured.
 func (m *MapContext) sortAndSpill() error {
-	if len(m.pairs) == 0 {
+	b := m.buf
+	if len(b.index) == 0 {
 		return nil
 	}
-	sort.SliceStable(m.pairs, func(i, j int) bool {
-		if m.pairs[i].part != m.pairs[j].part {
-			return m.pairs[i].part < m.pairs[j].part
+	// Pairs of one key keep their emission order (a combiner's float
+	// sums depend on it). The key offset is that order, so it makes the
+	// comparison total and the sort need not be stable.
+	arena := b.arena
+	slices.SortFunc(b.index, func(x, y kvMeta) int {
+		if x.part != y.part {
+			return x.part - y.part
 		}
-		return bytes.Compare(m.pairs[i].kv.Key, m.pairs[j].kv.Key) < 0
+		if c := bytes.Compare(arena[x.koff:x.koff+x.klen], arena[y.koff:y.koff+y.klen]); c != 0 {
+			return c
+		}
+		return x.koff - y.koff
 	})
 	f, err := os.CreateTemp(m.job.cfg.SpillDir, "hadoop-spill-*.run")
 	if err != nil {
 		return fmt.Errorf("hadoop: create spill: %w", err)
 	}
-	kw := kvio.NewWriter(f)
-	offsets := make([]int64, m.job.cfg.NumReduces+1)
+	sp := &mapOutput{file: f, offsets: make([]int64, m.job.cfg.NumReduces+1)}
+	b.begin(f)
 	i := 0
 	for p := 0; p < m.job.cfg.NumReduces; p++ {
-		offsets[p] = kw.BytesWritten()
+		sp.offsets[p] = b.n
 		j := i
-		for j < len(m.pairs) && m.pairs[j].part == p {
+		for j < len(b.index) && b.index[j].part == p {
 			j++
 		}
-		if err := m.writePartition(kw, m.pairs[i:j]); err != nil {
-			f.Close()
+		if err := m.writePartition(b.index[i:j]); err != nil {
+			sp.discard()
 			return err
 		}
 		i = j
 	}
-	offsets[m.job.cfg.NumReduces] = kw.BytesWritten()
-	if err := kw.Flush(); err != nil {
-		f.Close()
+	sp.offsets[m.job.cfg.NumReduces] = b.n
+	if err := b.out.Flush(); err != nil {
+		sp.discard()
 		return fmt.Errorf("hadoop: flush spill: %w", err)
 	}
 	m.metrics.SpillCount++
-	m.metrics.SpillBytes += kw.BytesWritten()
+	m.metrics.SpillBytes += b.n
 	m.flushMarks = append(m.flushMarks, m.emitCount)
-	m.spills = append(m.spills, &spillFile{file: f, offsets: offsets})
-	m.pairs = nil
-	m.pairBytes = 0
+	m.spills = append(m.spills, sp)
+	b.arena, b.index = b.arena[:0], b.index[:0]
 	return nil
 }
 
 // writePartition writes one partition's sorted pairs, combining first
-// when a combiner is configured.
-func (m *MapContext) writePartition(kw *kvio.Writer, pairs []mapPair) error {
+// when a combiner is configured. The combiner sees sub-slices of the
+// arena, valid until it returns.
+func (m *MapContext) writePartition(pairs []kvMeta) error {
+	b := m.buf
 	if m.job.cfg.Combiner == nil {
-		for _, p := range pairs {
-			if err := kw.Write(p.kv); err != nil {
+		for _, e := range pairs {
+			if err := b.write(b.wire(e)); err != nil {
 				return fmt.Errorf("hadoop: write spill: %w", err)
 			}
 		}
@@ -135,17 +241,16 @@ func (m *MapContext) writePartition(kw *kvio.Writer, pairs []mapPair) error {
 	}
 	i := 0
 	for i < len(pairs) {
+		key := b.key(pairs[i])
+		b.vals = append(b.vals[:0], b.value(pairs[i]))
 		j := i + 1
-		for j < len(pairs) && bytes.Equal(pairs[j].kv.Key, pairs[i].kv.Key) {
+		for j < len(pairs) && bytes.Equal(b.key(pairs[j]), key) {
+			b.vals = append(b.vals, b.value(pairs[j]))
 			j++
 		}
-		vals := make([][]byte, 0, j-i)
-		for k := i; k < j; k++ {
-			vals = append(vals, pairs[k].kv.Value)
-		}
 		m.metrics.CombineInPairs += int64(j - i)
-		for _, v := range m.job.cfg.Combiner(pairs[i].kv.Key, vals) {
-			if err := kw.Write(kvio.KV{Key: pairs[i].kv.Key, Value: v}); err != nil {
+		for _, v := range m.job.cfg.Combiner(key, b.vals) {
+			if err := b.writeKV(key, v); err != nil {
 				return fmt.Errorf("hadoop: write combined spill: %w", err)
 			}
 			m.metrics.CombineOutPairs++
@@ -155,8 +260,10 @@ func (m *MapContext) writePartition(kw *kvio.Writer, pairs []mapPair) error {
 	return nil
 }
 
-// close runs the final spill and merges all spill runs into the task's
-// partition-indexed output file (Hadoop's final merge to file.out).
+// close runs the final spill and turns the task's spill runs into its
+// partition-indexed output (Hadoop's file.out): several runs are
+// merged, a single run already is that file and is promoted as it
+// stands (MapTask.mergeParts renames a lone spill the same way).
 func (m *MapContext) close() (*mapOutput, error) {
 	if m.job.cfg.NumReduces == 0 {
 		return nil, nil
@@ -164,54 +271,19 @@ func (m *MapContext) close() (*mapOutput, error) {
 	if err := m.sortAndSpill(); err != nil {
 		return nil, err
 	}
-	out, err := os.CreateTemp(m.job.cfg.SpillDir, "hadoop-mapout-*.out")
-	if err != nil {
-		return nil, fmt.Errorf("hadoop: create map output: %w", err)
-	}
-	kw := kvio.NewWriter(out)
-	offsets := make([]int64, m.job.cfg.NumReduces+1)
-	for p := 0; p < m.job.cfg.NumReduces; p++ {
-		offsets[p] = kw.BytesWritten()
-		sources := make([]kvio.Source, 0, len(m.spills))
-		for _, sp := range m.spills {
-			lo, hi := sp.offsets[p], sp.offsets[p+1]
-			if hi == lo {
-				continue
-			}
-			buf := make([]byte, hi-lo)
-			if _, err := sp.file.ReadAt(buf, lo); err != nil {
-				out.Close()
-				return nil, fmt.Errorf("hadoop: read spill segment: %w", err)
-			}
-			kvs, err := kvio.DecodeAll(buf)
-			if err != nil {
-				out.Close()
-				return nil, err
-			}
-			sources = append(sources, &kvio.SliceSource{KVs: kvs})
-		}
-		merge, err := kvio.NewMerge(sources)
-		if err != nil {
-			out.Close()
+	var mo *mapOutput
+	switch len(m.spills) {
+	case 0:
+		mo = &mapOutput{offsets: make([]int64, m.job.cfg.NumReduces+1)}
+	case 1:
+		mo = m.spills[0]
+	default:
+		var err error
+		if mo, err = m.mergeSpills(); err != nil {
 			return nil, err
 		}
-		for {
-			kv, err := merge.Next()
-			if err != nil {
-				break
-			}
-			if werr := kw.Write(kv); werr != nil {
-				out.Close()
-				return nil, fmt.Errorf("hadoop: write map output: %w", werr)
-			}
-		}
 	}
-	offsets[m.job.cfg.NumReduces] = kw.BytesWritten()
-	if err := kw.Flush(); err != nil {
-		out.Close()
-		return nil, fmt.Errorf("hadoop: flush map output: %w", err)
-	}
-	m.metrics.ShuffleOutBytes = kw.BytesWritten()
+	m.metrics.ShuffleOutBytes = mo.offsets[m.job.cfg.NumReduces]
 	m.metrics.MergeRuns = int64(len(m.spills))
 	// Timeline reconstruction mirrors datampi: progress fraction at
 	// each spill.
@@ -225,24 +297,81 @@ func (m *MapContext) close() (*mapOutput, error) {
 			Bytes:    m.metrics.SpillBytes / int64(max(len(m.flushMarks), 1)),
 		})
 	}
-	// Spill runs are merged; release them.
 	for _, sp := range m.spills {
-		name := sp.file.Name()
-		sp.file.Close()
-		os.Remove(name)
+		if sp != mo {
+			sp.discard()
+		}
 	}
 	m.spills = nil
-	return &mapOutput{file: out, offsets: offsets}, nil
+	m.release()
+	return mo, nil
 }
 
-// abandon discards a failed attempt's spill files.
+// mergeSpills merges the spill runs partition by partition into a new
+// file. Nothing is collected any more, so the arena holds the
+// partition's segments while they are merged.
+func (m *MapContext) mergeSpills() (*mapOutput, error) {
+	out, err := os.CreateTemp(m.job.cfg.SpillDir, "hadoop-mapout-*.out")
+	if err != nil {
+		return nil, fmt.Errorf("hadoop: create map output: %w", err)
+	}
+	mo := &mapOutput{file: out, offsets: make([]int64, m.job.cfg.NumReduces+1)}
+	b := m.buf
+	b.begin(out)
+	runs := make([]kvio.WireSource, len(m.spills))
+	sources := make([]kvio.Source, 0, len(m.spills))
+	for p := 0; p < m.job.cfg.NumReduces; p++ {
+		mo.offsets[p] = b.n
+		total := 0
+		for _, sp := range m.spills {
+			total += sp.size(p)
+		}
+		rest := slices.Grow(b.arena[:0], total)[:total]
+		b.arena = rest[:0] // keep what Grow allocated
+		sources = sources[:0]
+		for i, sp := range m.spills {
+			n := sp.size(p)
+			if n == 0 {
+				continue
+			}
+			seg := rest[:n:n]
+			rest = rest[n:]
+			if err := sp.readPartition(p, seg); err != nil {
+				mo.discard()
+				return nil, fmt.Errorf("hadoop: read spill segment: %w", err)
+			}
+			if _, err := kvio.CountPairs(seg); err != nil {
+				mo.discard()
+				return nil, err
+			}
+			runs[i] = kvio.WireSource{Buf: seg}
+			sources = append(sources, &runs[i])
+		}
+		merge, err := kvio.NewMerge(sources)
+		if err == nil {
+			err = b.drain(merge)
+		}
+		if err != nil {
+			mo.discard()
+			return nil, err
+		}
+	}
+	mo.offsets[m.job.cfg.NumReduces] = b.n
+	if err := b.out.Flush(); err != nil {
+		mo.discard()
+		return nil, fmt.Errorf("hadoop: flush map output: %w", err)
+	}
+	return mo, nil
+}
+
+// abandon discards a failed attempt's spill files and returns its
+// collect buffer.
 func (m *MapContext) abandon() {
 	for _, sp := range m.spills {
-		name := sp.file.Name()
-		sp.file.Close()
-		os.Remove(name)
+		sp.discard()
 	}
 	m.spills = nil
+	m.release()
 }
 
 // runMap executes one map task under the slot pool, retrying failed

@@ -42,40 +42,32 @@ func (r *ReduceContext) NextGroup() ([]byte, [][]byte, error) {
 func (j *Job) runReduce(taskID int, completions <-chan int, body ReduceBody) error {
 	metrics := j.reduceMetrics[taskID]
 
-	// Copy phase.
-	type segment struct {
-		mapID int
-		data  []byte
-	}
-	segments := make([]segment, 0, j.cfg.NumMaps)
+	// Copy phase. A segment is key-sorted by the map-side merge and is
+	// merged as it lies: pairs are cut from its wire bytes on demand.
+	sources := make([]kvio.Source, 0, j.cfg.NumMaps)
 	for m := range completions {
 		mo := j.mapOutputs[m]
-		if mo == nil {
-			// The producing map failed; the job error surfaces from it.
+		if mo == nil || mo.size(taskID) == 0 {
+			// A nil output: the producing map failed; the job error
+			// surfaces from it.
 			continue
 		}
-		seg, err := mo.partition(taskID)
-		if err != nil {
+		seg := make([]byte, mo.size(taskID))
+		if err := mo.readPartition(taskID, seg); err != nil {
 			return fmt.Errorf("reduce %d copy from map %d: %w", taskID, m, err)
 		}
-		if len(seg) > 0 {
-			segments = append(segments, segment{mapID: m, data: seg})
-			metrics.ShuffleInBytes += int64(len(seg))
-			j.comm.AddMessage(m, taskID, int64(len(seg)))
-		}
-	}
-
-	// Merge phase: each segment is key-sorted by the map-side merge.
-	sources := make([]kvio.Source, 0, len(segments))
-	for _, seg := range segments {
-		kvs, err := kvio.DecodeAll(seg.data)
+		pairs, err := kvio.CountPairs(seg)
 		if err != nil {
 			return fmt.Errorf("reduce %d decode segment: %w", taskID, err)
 		}
-		metrics.ShuffleInPairs += int64(len(kvs))
-		j.comm.AddRecords(seg.mapID, taskID, int64(len(kvs)))
-		sources = append(sources, &kvio.SliceSource{KVs: kvs})
+		metrics.ShuffleInBytes += int64(len(seg))
+		metrics.ShuffleInPairs += int64(pairs)
+		j.comm.AddMessage(m, taskID, int64(len(seg)))
+		j.comm.AddRecords(m, taskID, int64(pairs))
+		sources = append(sources, &kvio.WireSource{Buf: seg})
 	}
+
+	// Merge phase.
 	metrics.MergeRuns = int64(len(sources))
 	merge, err := kvio.NewMerge(sources)
 	if err != nil {

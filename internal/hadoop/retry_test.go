@@ -14,8 +14,11 @@ import (
 // correct output.
 func TestMapRetryRecoversFromTransientFailure(t *testing.T) {
 	words, want := wordCorpus(3000)
+	dir := t.TempDir()
+	// The buffer is small enough that the failing attempt has spilled
+	// before it fails: the retry must not inherit or leak those runs.
 	job, err := NewJob(Config{
-		NumMaps: 4, NumReduces: 2, MaxAttempts: 3, SpillDir: t.TempDir(),
+		NumMaps: 4, NumReduces: 2, MaxAttempts: 3, SortBufferBytes: 256, SpillDir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,13 +66,15 @@ func TestMapRetryRecoversFromTransientFailure(t *testing.T) {
 		t.Fatal("failure was never injected")
 	}
 	checkCounts(t, counts, want)
+	checkDirEmpty(t, dir)
 }
 
 // TestMapRetryExhaustionFailsJob verifies a persistently failing task
 // surfaces its error after MaxAttempts.
 func TestMapRetryExhaustionFailsJob(t *testing.T) {
 	var attempts atomic.Int32
-	job, err := NewJob(Config{NumMaps: 1, NumReduces: 1, MaxAttempts: 3, SpillDir: t.TempDir()})
+	dir := t.TempDir()
+	job, err := NewJob(Config{NumMaps: 1, NumReduces: 1, MaxAttempts: 3, SpillDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +101,14 @@ func TestMapRetryExhaustionFailsJob(t *testing.T) {
 	if !strings.Contains(err.Error(), "attempt 3") {
 		t.Errorf("error should name the final attempt: %v", err)
 	}
+	checkDirEmpty(t, dir)
 }
 
 // TestRetryDoesNotDoubleCount ensures a retried task's metrics reflect
 // only the successful attempt.
 func TestRetryDoesNotDoubleCount(t *testing.T) {
-	job, err := NewJob(Config{NumMaps: 1, NumReduces: 1, MaxAttempts: 2, SpillDir: t.TempDir()})
+	dir := t.TempDir()
+	job, err := NewJob(Config{NumMaps: 1, NumReduces: 1, MaxAttempts: 2, SpillDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,4 +147,5 @@ func TestRetryDoesNotDoubleCount(t *testing.T) {
 	if got := job.MapMetrics()[0].ShuffleOutPairs; got != 50 {
 		t.Errorf("metrics count %d pairs, want 50 (no double counting)", got)
 	}
+	checkDirEmpty(t, dir)
 }

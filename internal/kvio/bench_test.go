@@ -1,6 +1,7 @@
 package kvio
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 )
@@ -54,5 +55,65 @@ func BenchmarkSort(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(scratch, kvs)
 		Sort(scratch)
+	}
+}
+
+// BenchmarkMerge8 merges eight sorted runs walked straight off their
+// wire bytes, the shape of both engines' reduce-side merge.
+func BenchmarkMerge8(b *testing.B) {
+	kvs, _ := benchPairs(8 * 1024)
+	var runs [8][]byte
+	for r := range runs {
+		part := append([]KV(nil), kvs[r*1024:(r+1)*1024]...)
+		Sort(part)
+		for _, p := range part {
+			runs[r] = AppendKV(runs[r], p.Key, p.Value)
+		}
+	}
+	srcs := make([]WireSource, len(runs))
+	sources := make([]Source, len(runs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := range runs {
+			srcs[r] = WireSource{Buf: runs[r]}
+			sources[r] = &srcs[r]
+		}
+		m, err := NewMerge(sources)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for {
+			if _, err := m.Next(); err != nil {
+				break
+			}
+			n++
+		}
+		if n != len(kvs) {
+			b.Fatalf("merged %d pairs", n)
+		}
+	}
+}
+
+// BenchmarkReaderNext streams a spilled run back, the DataMPI A-side
+// path when the receive cache overflowed.
+func BenchmarkReaderNext(b *testing.B) {
+	kvs, wire := benchPairs(4096)
+	b.SetBytes(int64(len(wire)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kr := NewReader(bytes.NewReader(wire))
+		n := 0
+		for {
+			if _, err := kr.Next(); err != nil {
+				break
+			}
+			n++
+		}
+		if n != len(kvs) {
+			b.Fatalf("read %d pairs", n)
+		}
 	}
 }

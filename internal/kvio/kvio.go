@@ -68,7 +68,8 @@ func CountPairs(buf []byte) (int, error) {
 				return 0, fmt.Errorf("kvio: bad length at %d", pos)
 			}
 			pos += w
-			if pos+int(l) > len(buf) {
+			// Compared unsigned: a length past 2⁶³ must not wrap.
+			if l > uint64(len(buf)-pos) {
 				return 0, fmt.Errorf("kvio: truncated payload at %d", pos)
 			}
 			pos += int(l)
@@ -318,12 +319,28 @@ func (kw *Writer) Pairs() int64 { return kw.pairs }
 // Reader streams pairs back from a run.
 type Reader struct {
 	r *bufio.Reader
+	// chunk is the tail of the current payload chunk: keys and values
+	// are cut from its front and never rewritten, so a pair stays valid
+	// for as long as the caller holds it (a Grouper keeps a whole
+	// group's values across Next calls).
+	chunk []byte
+	grow  int // size of the next chunk
 }
 
-// NewReader wraps r for run input.
-func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReader(r)} }
+// Payload chunks start small so a short run wastes little and double up
+// to readerChunkMax; a payload longer than that is read on its own.
+const (
+	readerChunkMin = 4 << 10
+	readerChunkMax = 64 << 10
+)
 
-// Next returns the next pair or io.EOF at run end.
+// NewReader wraps r for run input.
+func NewReader(r io.Reader) *Reader {
+	return &Reader{r: bufio.NewReader(r), grow: readerChunkMin}
+}
+
+// Next returns the next pair or io.EOF at run end. The pair's bytes are
+// the caller's to keep: no later call touches them.
 func (kr *Reader) Next() (KV, error) {
 	kl, err := binary.ReadUvarint(kr.r)
 	if err != nil {
@@ -332,22 +349,62 @@ func (kr *Reader) Next() (KV, error) {
 		}
 		return KV{}, fmt.Errorf("kvio: run key length: %w", err)
 	}
-	key := make([]byte, kl)
-	if _, err := io.ReadFull(kr.r, key); err != nil {
+	key, err := kr.payload(kl)
+	if err != nil {
 		return KV{}, fmt.Errorf("kvio: run truncated key: %w", err)
 	}
 	vl, err := binary.ReadUvarint(kr.r)
 	if err != nil {
 		return KV{}, fmt.Errorf("kvio: run truncated value length: %w", err)
 	}
-	val := make([]byte, vl)
-	if _, err := io.ReadFull(kr.r, val); err != nil {
+	val, err := kr.payload(vl)
+	if err != nil {
 		return KV{}, fmt.Errorf("kvio: run truncated value: %w", err)
 	}
 	return KV{Key: key, Value: val}, nil
 }
 
-// Source is one sorted stream feeding a k-way merge.
+// payload reads n bytes into memory no later call reuses.
+func (kr *Reader) payload(n uint64) ([]byte, error) {
+	if n > readerChunkMax {
+		return kr.longPayload(n)
+	}
+	if uint64(len(kr.chunk)) < n {
+		kr.chunk = make([]byte, max(uint64(kr.grow), n))
+		kr.grow = min(2*kr.grow, readerChunkMax)
+	}
+	// Full slice expression: an append by the caller must not run into
+	// the next pair's bytes.
+	p := kr.chunk[:n:n]
+	kr.chunk = kr.chunk[n:]
+	_, err := io.ReadFull(kr.r, p)
+	return p, err
+}
+
+// longPayload reads a payload larger than one chunk in steps no larger
+// than what has already arrived (at least one chunk), so a header that
+// lies about its length costs memory in proportion to the bytes really
+// present, not to the claim.
+func (kr *Reader) longPayload(n uint64) ([]byte, error) {
+	var p []byte
+	for uint64(len(p)) < n {
+		step := min(n-uint64(len(p)), uint64(max(len(p), readerChunkMax)))
+		have := len(p)
+		//lint:ignore hivelint/hotalloc growing as bytes arrive is the bound: the final size is a claim the wire has not yet backed
+		p = append(p, make([]byte, step)...)
+		if _, err := io.ReadFull(kr.r, p[have:]); err != nil {
+			if have > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// Source is one sorted stream feeding a k-way merge. A pair it returns
+// stays valid while the consumer is still reading the source (a merge
+// holds one head pair per source, a Grouper a whole group's values).
 type Source interface {
 	Next() (KV, error) // io.EOF when drained
 }
@@ -370,20 +427,75 @@ func (s *SliceSource) Next() (KV, error) {
 	return p, nil
 }
 
-// Merge performs a streaming k-way merge of sorted sources.
-type Merge struct {
-	heap []mergeEntry
+// WireSource walks the wire encoding of a sorted run held in memory,
+// cutting each pair out of Buf when it is asked for — a decoded []KV
+// costs 48 bytes a pair, this costs nothing. Pairs alias Buf, which
+// must stay untouched until the last of them is dead. Callers that
+// want a malformed run rejected before the first pair is consumed, or
+// need the pair count, run CountPairs over Buf first; Next reports the
+// same errors when it reaches the damage.
+type WireSource struct {
+	Buf []byte
+	pos int
 }
 
-type mergeEntry struct {
-	kv  KV
-	src Source
-	seq int // tie-break for stability
+var _ Source = (*WireSource)(nil)
+
+// Next implements Source.
+func (s *WireSource) Next() (KV, error) {
+	if s.pos >= len(s.Buf) {
+		return KV{}, io.EOF
+	}
+	key, err := s.field()
+	if err != nil {
+		return KV{}, err
+	}
+	val, err := s.field()
+	if err != nil {
+		return KV{}, err
+	}
+	return KV{Key: key, Value: val}, nil
+}
+
+// field cuts one length-prefixed payload (same fast path and error
+// text as CountPairs).
+func (s *WireSource) field() ([]byte, error) {
+	buf, pos := s.Buf, s.pos
+	var l uint64
+	var w int
+	if pos < len(buf) && buf[pos] < 0x80 {
+		l, w = uint64(buf[pos]), 1
+	} else {
+		l, w = binary.Uvarint(buf[pos:])
+	}
+	if w <= 0 {
+		return nil, fmt.Errorf("kvio: bad length at %d", pos)
+	}
+	pos += w
+	if l > uint64(len(buf)-pos) {
+		return nil, fmt.Errorf("kvio: truncated payload at %d", pos)
+	}
+	s.pos = pos + int(l)
+	return buf[pos:s.pos:s.pos], nil
+}
+
+// Merge performs a streaming k-way merge of sorted sources. Each
+// source's head pair sits in a flat slice; the heap orders source
+// indices, so advancing moves ints, not pairs.
+type Merge struct {
+	srcs  []Source
+	heads []KV  // heads[i] is source i's next unmerged pair
+	heap  []int // live source indices, least head first
+	err   error // first source failure; the merge is dead after it
 }
 
 // NewMerge primes the merge with one pair from each source.
 func NewMerge(sources []Source) (*Merge, error) {
-	m := &Merge{}
+	m := &Merge{
+		srcs:  sources,
+		heads: make([]KV, len(sources)),
+		heap:  make([]int, 0, len(sources)),
+	}
 	for i, s := range sources {
 		kv, err := s.Next()
 		if err == io.EOF {
@@ -392,74 +504,75 @@ func NewMerge(sources []Source) (*Merge, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.push(mergeEntry{kv: kv, src: s, seq: i})
+		m.heads[i] = kv
+		m.heap = append(m.heap, i)
+	}
+	for i := len(m.heap)/2 - 1; i >= 0; i-- {
+		m.siftDown(i)
 	}
 	return m, nil
 }
 
-func (m *Merge) less(a, b mergeEntry) bool {
-	c := bytes.Compare(a.kv.Key, b.kv.Key)
-	if c != 0 {
+// less orders sources by (key, value, source index): the value
+// tiebreak keeps the merged stream content-determined (the same total
+// order Sort uses); the index only breaks exact duplicates.
+func (m *Merge) less(a, b int) bool {
+	x, y := &m.heads[a], &m.heads[b]
+	if c := bytes.Compare(x.Key, y.Key); c != 0 {
 		return c < 0
 	}
-	// Value tiebreak keeps the merged stream content-determined (the
-	// same total order Sort uses); seq only breaks exact duplicates.
-	if c := bytes.Compare(a.kv.Value, b.kv.Value); c != 0 {
+	if c := bytes.Compare(x.Value, y.Value); c != 0 {
 		return c < 0
 	}
-	return a.seq < b.seq
+	return a < b
 }
 
-func (m *Merge) push(e mergeEntry) {
-	m.heap = append(m.heap, e)
-	i := len(m.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !m.less(m.heap[i], m.heap[parent]) {
-			break
-		}
-		m.heap[i], m.heap[parent] = m.heap[parent], m.heap[i]
-		i = parent
-	}
-}
-
-func (m *Merge) pop() mergeEntry {
-	top := m.heap[0]
-	last := len(m.heap) - 1
-	m.heap[0] = m.heap[last]
-	m.heap = m.heap[:last]
-	i := 0
+func (m *Merge) siftDown(i int) {
+	h := m.heap
 	for {
 		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(m.heap) && m.less(m.heap[l], m.heap[smallest]) {
-			smallest = l
+		least := i
+		if l < len(h) && m.less(h[l], h[least]) {
+			least = l
 		}
-		if r < len(m.heap) && m.less(m.heap[r], m.heap[smallest]) {
-			smallest = r
+		if r < len(h) && m.less(h[r], h[least]) {
+			least = r
 		}
-		if smallest == i {
-			break
+		if least == i {
+			return
 		}
-		m.heap[i], m.heap[smallest] = m.heap[smallest], m.heap[i]
-		i = smallest
+		h[i], h[least] = h[least], h[i]
+		i = least
 	}
-	return top
 }
 
-// Next returns the next pair in global key order, or io.EOF.
+// Next returns the next pair in global key order, or io.EOF. A source
+// error other than io.EOF is returned as is, now and on every later
+// call: the stream is incomplete and must not be taken for drained.
 func (m *Merge) Next() (KV, error) {
+	if m.err != nil {
+		return KV{}, m.err
+	}
 	if len(m.heap) == 0 {
 		return KV{}, io.EOF
 	}
-	e := m.pop()
-	nxt, err := e.src.Next()
-	if err == nil {
-		m.push(mergeEntry{kv: nxt, src: e.src, seq: e.seq})
-	} else if err != io.EOF {
+	top := m.heap[0]
+	out := m.heads[top]
+	nxt, err := m.srcs[top].Next()
+	switch {
+	case err == nil:
+		m.heads[top] = nxt
+	case err == io.EOF:
+		m.heads[top] = KV{}
+		last := len(m.heap) - 1
+		m.heap[0] = m.heap[last]
+		m.heap = m.heap[:last]
+	default:
+		m.err = err
 		return KV{}, err
 	}
-	return e.kv, nil
+	m.siftDown(0)
+	return out, nil
 }
 
 // Grouper wraps a merged stream into key-grouped iteration.
