@@ -32,10 +32,13 @@ import (
 //     unknown external calls conservatively inherit their arguments'
 //     taint when collection-shaped.
 //   - SANITIZERS: the canonicalizing sorts (sort.*, slices.Sort*,
-//     kvio.Sort) clear taint, as does any module function whose own
-//     body sorts the parameter (summarized as SanitizesParams).
+//     kvio.Sort, kvio.Run.Sort) clear taint, as does any module function
+//     whose own body sorts the parameter (summarized as SanitizesParams).
+//     A kvio.Run carries order in its receiver: Append and AppendBlock
+//     add their arguments' order to it, Sort clears it, and Entries,
+//     Source and the pair accessors hand it on.
 //   - SINKS: order-sensitive emission points — the kvio encoders
-//     (Writer.Write, AppendKV), the shuffle send path (OContext.Send),
+//     (AppendKV, Run.Write/WriteKV), the shuffle send path (OContext.Send),
 //     the comm_report/Chrome-trace writers, io/bufio/bytes/strings
 //     writers, and fmt print output. Order-tainted data reaching a
 //     sink is a finding. The loop variables of an unordered range are
@@ -802,6 +805,32 @@ func (w *flowWalker) callResultTaints(call *ast.CallExpr, nres int) []taint {
 		return out
 	}
 
+	// kvio.Run, the in-memory sorted run, carries order in its receiver.
+	if isMethodOn(callee, w.df.prog.ModulePath+"/internal/kvio", "Run") && funWalked {
+		recv := ast.Unparen(call.Fun).(*ast.SelectorExpr).X
+		switch callee.Name() {
+		case "Sort":
+			// A canonicalizing sort, like kvio.Sort: the run's order is
+			// the comparison's from here on.
+			w.clearPlaceOf(recv)
+			return out
+		case "Append", "AppendBlock":
+			// Pairs join the run in the order the calls are made.
+			if p := w.place(recv); p != nil {
+				w.setPlace(p, w.getPlace(p).union(argUnion))
+			}
+			return out
+		case "Entries", "Source":
+			// The index, in the run's current order.
+			out[0] = recvTaint
+			return out
+		case "Key", "Value", "Wire":
+			// A pair cut from the arena by an entry of that index.
+			out[0] = argUnion
+			return out
+		}
+	}
+
 	// Sanitizers: canonicalizing sorts clean their argument in place.
 	if mask, ok := w.sanitizerArgs(callee, call); ok {
 		for i, arg := range call.Args {
@@ -902,7 +931,7 @@ func (w *flowWalker) sinkHit(pos token.Pos, desc string, argTaint taint) {
 	}
 	if len(full.srcs) > 0 {
 		w.finding("order-leak", pos,
-			"%s receives data whose order derives from %s without an intervening canonicalizing sort; byte-identical output across runs requires a deterministic emission order (sort keys first, or emit through kvio.Sort)",
+			"%s receives data whose order derives from %s without an intervening canonicalizing sort; byte-identical output across runs requires a deterministic emission order (sort keys first, or emit through kvio.Sort or a sorted kvio.Run)",
 			desc, describe(full))
 	}
 }
@@ -958,7 +987,7 @@ func (w *flowWalker) sinkCall(callee *types.Func) (string, bool) {
 		}
 	}
 	switch {
-	case isMethodOn(callee, mod+"/internal/kvio", "Writer") && name == "Write":
+	case isMethodOn(callee, mod+"/internal/kvio", "Run") && (name == "Write" || name == "WriteKV"):
 		return "the kvio run writer", true
 	case isMethodOn(callee, mod+"/internal/datampi", "OContext") && name == "Send":
 		return "the shuffle send path (OContext.Send)", true

@@ -115,6 +115,41 @@ func badSelectArrival(a, b <-chan string, out *bytes.Buffer) {
 	}
 }
 
+// An A-side receive loop that spills its cache in arrival order: the
+// run file's bytes depend on which sender was first.
+func badRecvRunUnsorted(a, b <-chan []byte) {
+	var run kvio.Run
+	for i := 0; i < 4; i++ {
+		var blk []byte
+		select {
+		case blk = <-a:
+		case blk = <-b:
+		}
+		run.AppendBlock(blk)
+	}
+	for _, e := range run.Entries() {
+		run.Write(run.Wire(e)) // want "the kvio run writer receives data whose order derives from select arrival order"
+	}
+}
+
+// The same loop with the run sorted by its content before the spill:
+// no finding.
+func okRecvRunSorted(a, b <-chan []byte) {
+	var run kvio.Run
+	for i := 0; i < 4; i++ {
+		var blk []byte
+		select {
+		case blk = <-a:
+		case blk = <-b:
+		}
+		run.AppendBlock(blk)
+	}
+	run.Sort(run.ByKeyValue)
+	for _, e := range run.Entries() {
+		run.Write(run.Wire(e))
+	}
+}
+
 func okSuppressed(m map[string]int) {
 	for k := range m {
 		//lint:ignore hivelint/maporder fixture demonstrates an audited exemption

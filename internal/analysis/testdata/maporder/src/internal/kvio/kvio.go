@@ -1,6 +1,6 @@
 // Fixture stub of the kvio surface the maporder sink/sanitizer tables
-// reference: the wire encoder (AppendKV), the run writer, and the
-// canonicalizing Sort.
+// reference: the wire encoder (AppendKV), the canonicalizing Sort, and
+// the in-memory sorted run (Run) with its run writer.
 package kvio
 
 // KV is one key/value record.
@@ -14,10 +14,34 @@ func AppendKV(dst, k, v []byte) []byte {
 // Sort canonicalizes record order (sanitizer).
 func Sort(kvs []KV) {}
 
-// Writer is the run writer (order-sensitive sink).
-type Writer struct{ buf []byte }
+// Run is the in-memory sorted run: appends carry order into it, Sort
+// canonicalizes it, and its writer is the run writer (order-sensitive
+// sink).
+type Run struct {
+	arena []byte
+	index []RunEntry
+	out   []byte
+}
 
-func (w *Writer) Write(kv KV) error {
-	w.buf = AppendKV(w.buf, kv.Key, kv.Val)
+// RunEntry locates one pair in the arena.
+type RunEntry struct{ off, n int }
+
+func (r *Run) AppendBlock(block []byte) (int, error) {
+	r.index = append(r.index, RunEntry{len(r.arena), len(block)})
+	r.arena = append(r.arena, block...)
+	return 1, nil
+}
+
+func (r *Run) Sort(cmp func(x, y RunEntry) int) {}
+
+func (r *Run) ByKeyValue(x, y RunEntry) int { return x.off - y.off }
+
+func (r *Run) Entries() []RunEntry { return r.index }
+
+// Wire cuts one pair's bytes out of the arena.
+func (r *Run) Wire(e RunEntry) []byte { return r.arena[e.off : e.off+e.n] }
+
+func (r *Run) Write(p []byte) error {
+	r.out = append(r.out, p...)
 	return nil
 }

@@ -1,7 +1,6 @@
 package datampi
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -19,18 +18,18 @@ type AContext struct {
 	job  *Job
 	rank int
 
-	cache      []kvio.KV
-	kvScratch  []kvio.KV // receiveAll decode scratch, reused across rounds
-	cacheBytes int64
-	peakCache  int64
-	spills     []*os.File
+	// cache is the memory cache: received blocks as they arrived, in one
+	// pooled arena plus an index that each spill sorts and then empties.
+	cache     *kvio.Run
+	peakCache int64
+	spills    []*os.File
 
 	groups  *kvio.Grouper // over the merge of the cache and every spill run
 	metrics *trace.Task
 }
 
-func newAContext(j *Job, rank int) (*AContext, error) {
-	return &AContext{job: j, rank: rank, metrics: j.aTasks[rank]}, nil
+func newAContext(j *Job, rank int) *AContext {
+	return &AContext{job: j, rank: rank, cache: kvio.GetRun(), metrics: j.aTasks[rank]}
 }
 
 // Rank returns this task's rank within COMM_BIPARTITE_A.
@@ -51,9 +50,10 @@ func (a *AContext) memBudget() int64 {
 }
 
 // receiveAll runs this task's receive loop until every O task has sent
-// its done control message. Data messages are decoded into the memory
-// cache; when the cache exceeds the budget a sorted run is spilled to
-// local disk, mirroring DataMPI's threshold-triggered merging threads.
+// its done control message. Data messages are appended to the memory
+// cache as they stand; when the cache exceeds the budget a sorted run is
+// spilled to local disk, mirroring DataMPI's threshold-triggered merging
+// threads.
 func (a *AContext) receiveAll() error {
 	me := a.job.commA.WorldRank(a.rank)
 	doneCount := 0
@@ -66,23 +66,17 @@ func (a *AContext) receiveAll() error {
 		case tagDone:
 			doneCount++
 		case tagData:
-			// Pairs are copied into a.cache below, so one scratch []KV
-			// backing array serves every receive round.
-			kvs, err := kvio.DecodeAllInto(a.kvScratch[:0], data)
+			pairs, err := a.cache.AppendBlock(data)
 			if err != nil {
 				return err
 			}
-			a.kvScratch = kvs[:0]
 			a.metrics.ShuffleInBytes += int64(len(data))
-			a.metrics.ShuffleInPairs += int64(len(kvs))
+			a.metrics.ShuffleInPairs += int64(pairs)
 			a.metrics.RecvRounds++
 			a.job.histRecvRound.Observe(int64(len(data)))
-			a.cache = append(a.cache, kvs...)
-			a.cacheBytes += int64(len(data))
-			if a.cacheBytes > a.peakCache {
-				a.peakCache = a.cacheBytes
-			}
-			if a.cacheBytes > a.memBudget() {
+			cacheBytes := int64(a.cache.Size())
+			a.peakCache = max(a.peakCache, cacheBytes)
+			if cacheBytes > a.memBudget() {
 				if err := a.spill(); err != nil {
 					return err
 				}
@@ -104,43 +98,44 @@ func (a *AContext) receiveAll() error {
 
 // spill sorts the cache and writes it to a local-disk run file.
 func (a *AContext) spill() error {
-	if len(a.cache) == 0 {
+	c := a.cache
+	if c.Len() == 0 {
 		return nil
 	}
-	kvio.Sort(a.cache)
-	f, err := os.CreateTemp(a.job.cfg.SpillDir, "datampi-spill-*.run")
+	c.Sort(c.ByKeyValue)
+	f, err := kvio.CreateRunFile(a.job.cfg.SpillDir, "datampi-spill-*.run")
 	if err != nil {
 		return fmt.Errorf("datampi: create spill: %w", err)
 	}
-	kw := kvio.NewWriter(f)
-	kw.SetSizeHistogram(a.job.histRunWrite)
-	for _, p := range a.cache {
-		if err := kw.Write(p); err != nil {
-			f.Close()
+	// Listed before it is written, so cleanup discards it whatever fails.
+	a.spills = append(a.spills, f)
+	c.Begin(f)
+	for _, e := range c.Entries() {
+		p := c.Wire(e)
+		if err := c.Write(p); err != nil {
 			return fmt.Errorf("datampi: write spill: %w", err)
 		}
+		a.job.histRunWrite.Observe(int64(len(p)))
 	}
-	if err := kw.Flush(); err != nil {
-		f.Close()
+	if err := c.Flush(); err != nil {
 		return fmt.Errorf("datampi: flush spill: %w", err)
 	}
 	a.metrics.SpillCount++
-	a.metrics.SpillBytes += kw.BytesWritten()
-	a.job.ctrSpillPairs.Add(kw.Pairs())
-	a.spills = append(a.spills, f)
-	a.cache = nil
-	a.cacheBytes = 0
+	a.metrics.SpillBytes += c.Written()
+	a.job.ctrSpillPairs.Add(int64(c.Len()))
+	c.Reset()
 	return nil
 }
 
 // prepareIterator sorts the residual cache and builds the k-way merge
 // over the in-memory run plus every spill run.
 func (a *AContext) prepareIterator() error {
-	kvio.Sort(a.cache)
-	a.metrics.SortedBytes = a.cacheBytes + a.metrics.SpillBytes
+	c := a.cache
+	c.Sort(c.ByKeyValue)
+	a.metrics.SortedBytes = int64(c.Size()) + a.metrics.SpillBytes
 	sources := make([]kvio.Source, 0, len(a.spills)+1)
-	if len(a.cache) > 0 {
-		sources = append(sources, &kvio.SliceSource{KVs: a.cache})
+	if c.Len() > 0 {
+		sources = append(sources, c.Source())
 	}
 	for _, f := range a.spills {
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
@@ -168,19 +163,14 @@ func (a *AContext) NextGroup() ([]byte, [][]byte, error) {
 	return k, vs, err
 }
 
-// cleanup removes spill runs.
+// cleanup removes spill runs and returns the cache to the pool. Every
+// pair the body was handed is dead by now.
 func (a *AContext) cleanup() {
-	var errs []error
 	for _, f := range a.spills {
-		name := f.Name()
-		if err := f.Close(); err != nil {
-			errs = append(errs, err)
-		}
-		if err := os.Remove(name); err != nil {
-			errs = append(errs, err)
-		}
+		kvio.DiscardRunFile(f)
 	}
 	a.spills = nil
-	// Cleanup failures only leak temp files; don't fail the job.
-	_ = errors.Join(errs...)
+	a.groups = nil
+	a.cache.Release()
+	a.cache = nil
 }

@@ -280,10 +280,7 @@ func (j *Job) runOTask(rank int, body OBody) error {
 }
 
 func (j *Job) runATask(rank int, body ABody) error {
-	ctx, err := newAContext(j, rank)
-	if err != nil {
-		return err
-	}
+	ctx := newAContext(j, rank)
 	defer ctx.cleanup()
 	if err := ctx.receiveAll(); err != nil {
 		return fmt.Errorf("a task %d receive: %w", rank, err)

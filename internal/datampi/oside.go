@@ -29,7 +29,6 @@ type OContext struct {
 	pending   []*mpi.Request
 
 	metrics   *trace.Task
-	kvScratch []kvio.KV // flushPartition combiner decode scratch
 	pairIndex int64
 	flushMark []int64 // pairIndex at each flush, for timeline reconstruction
 	finalized bool
@@ -167,16 +166,11 @@ func (o *OContext) flushPartition(part int, force bool) error {
 	}()
 	o.bufOccupancy -= int64(len(blk.data))
 	if o.job.cfg.Combiner != nil {
-		// runCombiner consumes kvs within the call (grouping copies key
-		// references only as long as the block is alive), so the []KV
-		// backing array is reusable across flushes.
-		kvs, err := kvio.DecodeAllInto(o.kvScratch[:0], blk.data)
+		combineBase := o.metrics.CombineOutPairs
+		combined, err := o.runCombiner(blk.data)
 		if err != nil {
 			return fmt.Errorf("datampi: partition %d buffer corrupt: %w", part, err)
 		}
-		o.kvScratch = kvs[:0]
-		combineBase := o.metrics.CombineOutPairs
-		combined := o.runCombiner(kvs)
 		pairs = o.metrics.CombineOutPairs - combineBase
 		blockPool.Put(blk)
 		blk = combined
@@ -275,34 +269,29 @@ func (o *OContext) senderLoop() {
 	}
 }
 
-// runCombiner groups the partition's pairs by key with a hash map in
-// first-seen key order and applies the user combiner, returning the
-// encoded output in a pooled block. Wire order is correctness-neutral
-// (the A side sorts before grouping), and first-seen order is
-// deterministic for a given input stream, unlike map iteration.
-func (o *OContext) runCombiner(kvs []kvio.KV) *block {
-	o.metrics.CombineInPairs += int64(len(kvs))
-	groups := make(map[string]int, len(kvs))
-	keys := make([][]byte, 0, len(kvs))
-	vals := make([][][]byte, 0, len(kvs))
-	for _, p := range kvs {
-		idx, ok := groups[string(p.Key)]
-		if !ok {
-			idx = len(keys)
-			groups[string(p.Key)] = idx
-			keys = append(keys, p.Key)
-			vals = append(vals, nil)
-		}
-		vals[idx] = append(vals[idx], p.Value)
+// runCombiner sorts the partition's pairs by key in a pooled run, the
+// pairs of one key keeping their Send order, and applies the user
+// combiner to each key's values, returning the encoded output in a
+// pooled block. Wire order is correctness-neutral: the A side sorts
+// before grouping.
+func (o *OContext) runCombiner(data []byte) (*block, error) {
+	run := kvio.GetRun()
+	defer run.Release()
+	n, err := run.AppendBlock(data)
+	if err != nil {
+		return nil, err
 	}
+	o.metrics.CombineInPairs += int64(n)
+	run.Sort(run.ByPartKey)
 	out := o.getBlock()
-	for i, key := range keys {
-		for _, v := range o.job.cfg.Combiner(key, vals[i]) {
+	err = run.Groups(run.Entries(), func(key []byte, vals [][]byte) error {
+		for _, v := range o.job.cfg.Combiner(key, vals) {
 			out.data = kvio.AppendKV(out.data, key, v)
 			o.metrics.CombineOutPairs++
 		}
-	}
-	return out
+		return nil
+	})
+	return out, err
 }
 
 // finalize flushes residual partitions, drains the shuffle engine and

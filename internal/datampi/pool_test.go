@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"hivempi/internal/chaos"
+	"hivempi/internal/kvio"
 	"hivempi/internal/testutil/leakcheck"
 )
 
@@ -115,28 +116,32 @@ func TestConcurrentJobsNeverSeeEachOthersPairs(t *testing.T) {
 // 16 partitions each and wait for one another before they finish, so
 // that 128 blocks are live at once, and then measures an identical
 // second job, which must find those blocks in the pool instead of
-// allocating its own.
+// allocating its own. Every sorted run the job took (the A tasks'
+// caches) must be back in the pool too.
 func TestBlocksReturnOnEveryPath(t *testing.T) {
 	defer leakcheck.Check(t)()
 	const numO, numA = 8, 16
 	boom := errors.New("operator exploded")
 	cases := []struct {
-		name    string
-		cfg     Config
-		failing bool // O rank 3 errors after its sends
-		wantErr error
+		name     string
+		cfg      Config
+		failing  bool // O rank 3 errors after its sends
+		failingA bool // A rank 5 errors after its first group
+		wantErr  error
 	}{
 		{name: "clean non-blocking", cfg: Config{NonBlocking: true}},
 		{name: "clean blocking", cfg: Config{NonBlocking: false}},
 		{name: "O body errors mid-stream", cfg: Config{NonBlocking: true}, failing: true, wantErr: boom},
 		{name: "message dropped in transit", cfg: Config{NonBlocking: true}, wantErr: chaos.ErrInjected},
+		{name: "A body errors mid-merge", cfg: Config{NonBlocking: true}, failingA: true, wantErr: boom},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			runs := kvio.RunsOutstanding()
 			run := func() {
 				cfg := tc.cfg
 				cfg.NumO, cfg.NumA, cfg.SpillDir = numO, numA, t.TempDir()
-				if tc.wantErr != nil && !tc.failing {
+				if tc.wantErr == chaos.ErrInjected {
 					cfg.Chaos = chaos.NewPlane(chaos.Plan{Specs: []chaos.Spec{
 						{Kind: chaos.MsgDrop, Tag: tagData, After: 20},
 					}})
@@ -160,10 +165,22 @@ func TestBlocksReturnOnEveryPath(t *testing.T) {
 						return boom
 					}
 					return nil
-				}, drainGroups)
+				}, func(a *AContext) error {
+					if tc.failingA && a.Rank() == 5 {
+						if _, _, err := a.NextGroup(); err != nil {
+							return err
+						}
+						return boom
+					}
+					return drainGroups(a)
+				})
 				if !errors.Is(err, tc.wantErr) {
 					t.Fatalf("job ended with %v, want %v", err, tc.wantErr)
 				}
+				if n := kvio.RunsOutstanding() - runs; n != 0 {
+					t.Errorf("%d sorted runs not returned to the pool", n)
+				}
+				checkDirEmpty(t, cfg.SpillDir)
 			}
 			run()
 			got := allocatedBy(t, run)

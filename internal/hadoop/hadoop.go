@@ -18,6 +18,7 @@ import (
 	"os"
 	"sync"
 
+	"hivempi/internal/kvio"
 	"hivempi/internal/trace"
 )
 
@@ -147,14 +148,7 @@ func (mo *mapOutput) readPartition(p int, dst []byte) error {
 }
 
 // discard closes and deletes the run's file.
-func (mo *mapOutput) discard() {
-	if mo.file == nil {
-		return
-	}
-	name := mo.file.Name()
-	mo.file.Close()
-	os.Remove(name)
-}
+func (mo *mapOutput) discard() { kvio.DiscardRunFile(mo.file) }
 
 // NewJob validates the configuration.
 func NewJob(cfg Config) (*Job, error) {

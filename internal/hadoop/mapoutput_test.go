@@ -539,22 +539,21 @@ func (s *errAfter) Next() (kvio.KV, error) {
 // published the pairs before the failure as the task's whole output.
 func TestDrainFailsOnSourceError(t *testing.T) {
 	boom := errors.New("segment went away")
-	b := collectBuffers.Get().(*collectBuffer)
-	defer collectBuffers.Put(b)
+	b := kvio.GetRun()
+	defer b.Release()
 	f, err := os.CreateTemp(t.TempDir(), "out")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	b.begin(f)
-	if err := b.drain(&errAfter{n: 3, err: io.EOF}); err != nil {
+	b.Begin(f)
+	if err := drain(b, &errAfter{n: 3, err: io.EOF}); err != nil {
 		t.Errorf("a stream ending in io.EOF: %v", err)
 	}
-	err = b.drain(&errAfter{n: 3, err: boom})
+	err = drain(b, &errAfter{n: 3, err: boom})
 	if !errors.Is(err, boom) {
 		t.Errorf("a stream failing after 3 pairs: drain returned %v", err)
 	}
-	b.out.Reset(nil)
 }
 
 // TestDamagedSpillFailsOrRetriesNeverTruncates damages a map task's

@@ -9,6 +9,8 @@ import (
 	"runtime/debug"
 	"sync"
 	"testing"
+
+	"hivempi/internal/kvio"
 )
 
 // TestConcurrentJobsNeverSeeEachOthersPairs: two jobs run at once and
@@ -84,7 +86,8 @@ func TestConcurrentJobsNeverSeeEachOthersPairs(t *testing.T) {
 
 // TestCollectBuffersReturnOnEveryPath: however a map task ends, its
 // collect buffer goes back to the pool, so a second identical job finds
-// the first one's buffers and allocates next to nothing. All tasks hold
+// the first one's buffers and allocates next to nothing; so does every
+// reduce task's copy arena. All tasks hold
 // their buffers at once, the collector is off so no cycle empties the
 // pool under the measurement, and the ceiling leaves room for the race
 // detector's sync.Pool, which drops a quarter of all Puts.
@@ -107,6 +110,7 @@ func TestCollectBuffersReturnOnEveryPath(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
+			runs := kvio.RunsOutstanding()
 			run := func() {
 				job, err := NewJob(Config{NumMaps: numMaps, NumReduces: 2, MapSlots: numMaps,
 					SortBufferBytes: 48 << 10, Combiner: swallow, SpillDir: dir})
@@ -135,6 +139,9 @@ func TestCollectBuffersReturnOnEveryPath(t *testing.T) {
 				}, drainReduce)
 				if tc.failing != errors.Is(err, boom) {
 					t.Fatalf("job ended with %v", err)
+				}
+				if n := kvio.RunsOutstanding() - runs; n != 0 {
+					t.Errorf("%d sorted runs not returned to the pool", n)
 				}
 			}
 			run()

@@ -37,22 +37,37 @@ func (r *ReduceContext) NextGroup() ([]byte, [][]byte, error) {
 }
 
 // runReduce executes one reduce task: the copy phase pulls this task's
-// partition from each map output as the map completes (never earlier —
-// Hadoop's coarse-grained shuffle), then a k-way merge feeds the body.
+// partition from each map output once the maps have completed (never
+// earlier — Hadoop's coarse-grained shuffle), then a k-way merge feeds
+// the body.
 func (j *Job) runReduce(taskID int, completions <-chan int, body ReduceBody) error {
 	metrics := j.reduceMetrics[taskID]
 
-	// Copy phase. A segment is key-sorted by the map-side merge and is
-	// merged as it lies: pairs are cut from its wire bytes on demand.
-	sources := make([]kvio.Source, 0, j.cfg.NumMaps)
+	// Copy phase. A segment moves only once its map has completed
+	// (Hadoop's coarse-grained shuffle); all of them are read once the
+	// last map is done, back to back into one pooled arena sized for the
+	// lot. Each is key-sorted by the map-side merge and is merged as it
+	// lies: pairs are cut from its wire bytes on demand.
+	copied := make([]int, 0, j.cfg.NumMaps) // map IDs in completion order
+	total := 0
 	for m := range completions {
-		mo := j.mapOutputs[m]
-		if mo == nil || mo.size(taskID) == 0 {
-			// A nil output: the producing map failed; the job error
-			// surfaces from it.
-			continue
+		// A nil output: the producing map failed; the job error surfaces
+		// from it.
+		if mo := j.mapOutputs[m]; mo != nil && mo.size(taskID) > 0 {
+			copied = append(copied, m)
+			total += mo.size(taskID)
 		}
-		seg := make([]byte, mo.size(taskID))
+	}
+	arena := kvio.GetRun()
+	defer arena.Release()
+	rest := arena.Grow(total)
+	runs := make([]kvio.WireSource, len(copied))
+	sources := make([]kvio.Source, len(copied))
+	for i, m := range copied {
+		mo := j.mapOutputs[m]
+		n := mo.size(taskID)
+		seg := rest[:n:n]
+		rest = rest[n:]
 		if err := mo.readPartition(taskID, seg); err != nil {
 			return fmt.Errorf("reduce %d copy from map %d: %w", taskID, m, err)
 		}
@@ -60,11 +75,12 @@ func (j *Job) runReduce(taskID int, completions <-chan int, body ReduceBody) err
 		if err != nil {
 			return fmt.Errorf("reduce %d decode segment: %w", taskID, err)
 		}
-		metrics.ShuffleInBytes += int64(len(seg))
+		metrics.ShuffleInBytes += int64(n)
 		metrics.ShuffleInPairs += int64(pairs)
-		j.comm.AddMessage(m, taskID, int64(len(seg)))
+		j.comm.AddMessage(m, taskID, int64(n))
 		j.comm.AddRecords(m, taskID, int64(pairs))
-		sources = append(sources, &kvio.WireSource{Buf: seg})
+		runs[i] = kvio.WireSource{Buf: seg}
+		sources[i] = &runs[i]
 	}
 
 	// Merge phase.

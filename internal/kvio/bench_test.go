@@ -3,6 +3,7 @@ package kvio
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -116,4 +117,59 @@ func BenchmarkReaderNext(b *testing.B) {
 			b.Fatalf("read %d pairs", n)
 		}
 	}
+}
+
+// hotKeyBlock is the text_skew shape an A task receives: one join key
+// (a HiBench page URL, key-encoded) carrying 8 192 distinct values (a
+// visitor's source IP and ad revenue) over a Zipf tail of cold URLs,
+// in the order the senders emitted them.
+func hotKeyBlock() []byte {
+	rng := rand.New(rand.NewSource(42))
+	zipf := rand.NewZipf(rng, 1.1, 1, 4096)
+	url := func(i uint64) []byte {
+		return []byte(fmt.Sprintf("\x02http://site%03d.example.com/page%d.html\x00\x00", i%997, i))
+	}
+	value := func() []byte {
+		return []byte(fmt.Sprintf("\x01\x02158.112.%d.%d\x00\x00\x01%08d", rng.Intn(256), rng.Intn(256), rng.Intn(1e8)))
+	}
+	var wire []byte
+	for i := 0; i < 8192; i++ {
+		wire = AppendKV(wire, url(17), value())
+		wire = AppendKV(wire, url(zipf.Uint64()), value())
+	}
+	return wire
+}
+
+// BenchmarkRunSortHotKey sorts one A-side cache of the hotKeyBlock
+// shape into (key, value) order: through the sorted-run buffer the A
+// side uses (append the block, sort the index), and through the decoded
+// []KV and kvio.Sort it replaced, whose equal-key insertion sort is
+// quadratic in the hot key's run.
+func BenchmarkRunSortHotKey(b *testing.B) {
+	wire := hotKeyBlock()
+	b.Run("run", func(b *testing.B) {
+		r := GetRun()
+		defer r.Release()
+		b.SetBytes(int64(len(wire)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r.Reset()
+			if _, err := r.AppendBlock(wire); err != nil {
+				b.Fatal(err)
+			}
+			r.Sort(r.ByKeyValue)
+		}
+	})
+	b.Run("kvio.Sort", func(b *testing.B) {
+		var kvs []KV
+		b.SetBytes(int64(len(wire)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if kvs, err = DecodeAllInto(kvs[:0], wire); err != nil {
+				b.Fatal(err)
+			}
+			Sort(kvs)
+		}
+	})
 }

@@ -9,9 +9,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"sync"
-
-	"hivempi/internal/metrics"
 )
 
 // KV is one key-value pair. Keys are compared as raw bytes, so callers
@@ -27,14 +26,7 @@ func (p KV) WireSize() int {
 		uvarintLen(uint64(len(p.Value))) + len(p.Value)
 }
 
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // AppendKV appends the wire encoding of one pair to buf.
 func AppendKV(buf []byte, key, value []byte) []byte {
@@ -91,6 +83,13 @@ func DecodeAll(buf []byte) ([]KV, error) {
 // result is dead. A header-only pre-scan both validates the framing
 // and sizes dst exactly, so a cold call costs one allocation and the
 // decode loop itself carries no error branches.
+//
+// No shuffle path decodes into []KV any more (both engines hold pairs
+// in a Run), so nothing outside tests reuses dst: DecodeAllInto is kept
+// for the frozen end-to-end replay (benchmarks/e2e/replay.go) and the
+// checkpoint reader, both through DecodeAll, and for tests. It folds
+// into DecodeAll once the replay runs the production entry points
+// (ROADMAP item 2(a)).
 func DecodeAllInto(dst []KV, buf []byte) ([]KV, error) {
 	n, err := CountPairs(buf)
 	if err != nil {
@@ -143,6 +142,13 @@ func DecodeAllInto(dst []KV, buf []byte) ([]KV, error) {
 // MSD radix path (stable counting sort per key byte into pooled
 // scratch); small inputs and small radix buckets fall back to binary
 // insertion, which beats the distribution pass under ~32 pairs.
+//
+// Sort is kept only for the frozen end-to-end replay
+// (benchmarks/e2e/replay.go) and for tests, and goes once the replay
+// runs the production entry points (ROADMAP item 2(a)). Production
+// sorts a Run with Run.Sort: its equal-key tie-break here
+// (sortByValue) is an insertion sort, quadratic in the number of
+// values one key carries.
 func Sort(kvs []KV) {
 	if len(kvs) < 2 {
 		return
@@ -276,45 +282,6 @@ func sortByValue(a []KV) {
 		a[j+1] = p
 	}
 }
-
-// Writer streams encoded pairs to a sorted-run file.
-type Writer struct {
-	w     *bufio.Writer
-	buf   []byte
-	n     int64
-	pairs int64
-	sizes *metrics.Histogram
-}
-
-// NewWriter wraps w for run output.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriter(w)}
-}
-
-// SetSizeHistogram attaches a pre-resolved histogram observing each
-// written pair's wire size. Callers resolve the handle once (outside
-// the write loop, per the metricshot rule); a nil histogram is a no-op.
-func (kw *Writer) SetSizeHistogram(h *metrics.Histogram) { kw.sizes = h }
-
-// Write appends one pair to the run.
-func (kw *Writer) Write(p KV) error {
-	kw.buf = kw.buf[:0]
-	kw.buf = AppendKV(kw.buf, p.Key, p.Value)
-	n, err := kw.w.Write(kw.buf)
-	kw.n += int64(n)
-	kw.pairs++
-	kw.sizes.Observe(int64(n))
-	return err
-}
-
-// Flush drains buffered output.
-func (kw *Writer) Flush() error { return kw.w.Flush() }
-
-// BytesWritten returns the run size so far.
-func (kw *Writer) BytesWritten() int64 { return kw.n }
-
-// Pairs returns the number of pairs written so far.
-func (kw *Writer) Pairs() int64 { return kw.pairs }
 
 // Reader streams pairs back from a run.
 type Reader struct {

@@ -69,18 +69,20 @@ func TestFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	kw := NewWriter(f)
+	kw := GetRun()
+	defer kw.Release()
+	kw.Begin(f)
 	const n = 500
 	for i := 0; i < n; i++ {
-		if err := kw.Write(KV{Key: []byte{byte(i)}, Value: []byte{byte(i), byte(i >> 4)}}); err != nil {
+		if err := kw.WriteKV([]byte{byte(i)}, []byte{byte(i), byte(i >> 4)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := kw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if kw.BytesWritten() == 0 {
-		t.Error("BytesWritten is zero")
+	if kw.Written() == 0 {
+		t.Error("Written is zero")
 	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		t.Fatal(err)
@@ -491,14 +493,16 @@ func TestGrouperOverReaderKeepsGroupIntact(t *testing.T) {
 	const n = 10000
 	value := func(run, i int) []byte { return []byte(fmt.Sprintf("run%d-value-%06d", run, i)) }
 	var runs [2]bytes.Buffer
+	kw := GetRun()
+	defer kw.Release()
 	for r := range runs {
-		kw := NewWriter(&runs[r])
+		kw.Begin(&runs[r])
 		for i := 0; i < n/2; i++ {
-			if err := kw.Write(KV{Key: []byte("big"), Value: value(r, i)}); err != nil {
+			if err := kw.WriteKV([]byte("big"), value(r, i)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := kw.Write(KV{Key: []byte("next"), Value: []byte("tail")}); err != nil {
+		if err := kw.WriteKV([]byte("next"), []byte("tail")); err != nil {
 			t.Fatal(err)
 		}
 		if err := kw.Flush(); err != nil {
