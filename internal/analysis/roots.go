@@ -68,16 +68,17 @@ var HotRootMethods = map[string]map[string][]string{
 		"Driver":    {"foldPlanCacheEvictions"},
 		"":          {"normalizePlanKey"},
 	},
-	// The ORC and Text codecs are the largest host-side layer of most
+	// The table codecs are the largest host-side layer of most
 	// end-to-end workloads (benchmarks/e2e): their steady state is
-	// allocation per stripe, not per row or per stream.
+	// allocation per stripe, block or batch, not per row or per stream.
 	"storage": {
 		"orcWriter":       {"Write", "flushStripe"},
-		"orcSplitReader":  {"Next", "NextBatch", "loadStripe", "loadStripeVec", "readColumnStream"},
+		"orcSplitReader":  {"NextBatch", "loadStripeVec", "readColumnStream"},
 		"textWriter":      {"Write"},
-		"textSplitReader": {"Next", "NextBatch", "readLine"},
-		"decodedColumn":   {"decode", "fillDatums", "fillVector"},
-		"rowBatchAdapter": {"NextBatch"},
+		"textSplitReader": {"NextBatch", "readLine"},
+		"seqSplitReader":  {"NextBatch", "loadBlock", "decodeRow"},
+		"decodedColumn":   {"decode", "fillVector"},
+		"rowCutter":       {"Next"},
 		"":                {"encodeColumn"},
 	},
 	// RunMapTask is the only map-side executor: every operator, kernel

@@ -38,7 +38,6 @@ type EngineConf struct {
 	SlotsPerNode int
 
 	Parallelism     ParallelismMode
-	SplitSize       int64 // bytes per map/O input split (0 = DFS block size)
 	BytesPerReducer int64 // default-mode reducer sizing
 	SortBufferBytes int   // Hadoop io.sort.mb analogue
 	SendBufferBytes int   // DataMPI partition buffer
@@ -108,7 +107,7 @@ func PlanMapTasks(env *Env, stage *Stage, conf EngineConf) ([]MapTaskSpec, error
 	var tasks []MapTaskSpec
 	for mi := range stage.Maps {
 		for _, path := range stage.Maps[mi].Input.ResolvePaths(env.FS) {
-			splits, err := env.FS.Splits(path, conf.SplitSize)
+			splits, err := env.FS.Splits(path, 0) // one split per DFS block
 			if err != nil {
 				return nil, fmt.Errorf("exec: splits for %s: %w", path, err)
 			}

@@ -50,9 +50,9 @@ func runChain(t *testing.T, env *Env, ops []MapOp, kinds []types.Kind, rows []ty
 	t.Helper()
 	var got []types.Row
 	c, err := buildChain(env, ops, func(b *vec.Batch) error {
-		rows := materialize(b)
+		rows := vec.Materialize(b)
 		for i := 0; i < b.N; i++ {
-			got = append(got, rows.row(i))
+			got = append(got, rows.Row(i))
 		}
 		return nil
 	})

@@ -237,30 +237,6 @@ func appendLaneKey(buf []byte, keyVs []vec.Vector, lane int, descs []bool) ([]by
 	return buf, anyNull
 }
 
-// rowSlab is a batch materialized row-major into one fresh allocation.
-// Consumers retain the rows it cuts (collectors, the map-join table),
-// so a slab is never reused.
-type rowSlab struct {
-	data  []types.Datum
-	width int
-}
-
-func materialize(b *vec.Batch) rowSlab {
-	s := rowSlab{data: make([]types.Datum, b.N*len(b.Cols)), width: len(b.Cols)}
-	for c, v := range b.Cols {
-		for lane := 0; lane < b.N; lane++ {
-			s.data[lane*s.width+c] = v.Datum(lane)
-		}
-	}
-	return s
-}
-
-// row cuts row i, capped so an append to it cannot reach its neighbour.
-func (s rowSlab) row(i int) types.Row {
-	lo, hi := i*s.width, (i+1)*s.width
-	return s.data[lo:hi:hi]
-}
-
 // datumBatcher packs rows one at a time into a pooled datum-mode batch
 // and hands it to next whenever it fills, and on flush.
 type datumBatcher struct {
@@ -347,14 +323,14 @@ func loadMapJoinTable(env *Env, op *MapJoinOp) (map[string][]types.Row, int, err
 		if err := evalKernels(keyKs, b, keyVs); err != nil {
 			return err
 		}
-		rows := materialize(b)
+		rows := vec.Materialize(b)
 		for lane := 0; lane < b.N; lane++ {
 			var null bool
 			keyBuf, null = appendLaneKey(keyBuf[:0], keyVs, lane, nil)
 			if null {
 				continue // NULL keys never join
 			}
-			table[string(keyBuf)] = append(table[string(keyBuf)], rows.row(lane))
+			table[string(keyBuf)] = append(table[string(keyBuf)], rows.Row(lane))
 		}
 		return nil
 	}
@@ -581,12 +557,12 @@ func RunMapTask(env *Env, conf EngineConf, stage *Stage, mapIdx int, split dfs.S
 		}
 	case out != nil:
 		terminal = func(b *vec.Batch) error {
-			rows := materialize(b)
+			rows := vec.Materialize(b)
 			for lane := 0; lane < b.N; lane++ {
 				if metrics != nil {
 					metrics.OutputRecords++
 				}
-				if err := out(rows.row(lane)); err != nil {
+				if err := out(rows.Row(lane)); err != nil {
 					return err
 				}
 			}

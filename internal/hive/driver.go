@@ -68,10 +68,8 @@ type Driver struct {
 	DisablePushdown       bool
 
 	// DisablePlanCache turns off the compiled-plan cache (on by
-	// default); PlanCacheEntries overrides its LRU capacity (0 =
-	// DefaultPlanCacheEntries).
+	// default, DefaultPlanCacheEntries plans).
 	DisablePlanCache bool
-	PlanCacheEntries int
 
 	// AdaptiveSkew enables the skew-adaptive runtime (internal/adapt):
 	// completed stages' partition statistics feed repartitioning,
@@ -188,7 +186,7 @@ func (d *Driver) executeCachedPlan(sql string) (res *Result, hit bool, err error
 	}
 	d.ensureMetrics()
 	if d.planCache == nil {
-		d.planCache = NewPlanCache(d.PlanCacheEntries)
+		d.planCache = NewPlanCache(DefaultPlanCacheEntries)
 	}
 	e := d.planCache.lookup(key, lits, d.MS.Version(), d.planFingerprint())
 	d.foldPlanCacheEvictions()
@@ -347,7 +345,7 @@ func (d *Driver) runQuery(sql string, s *SelectStmt, dst dest) (*Result, relSche
 		if key, lits, _, cacheable := normalizePlanKey(sql); cacheable {
 			d.ensureMetrics()
 			if d.planCache == nil {
-				d.planCache = NewPlanCache(d.PlanCacheEntries)
+				d.planCache = NewPlanCache(DefaultPlanCacheEntries)
 			}
 			d.planCache.put(&planEntry{
 				key: key, literals: lits,

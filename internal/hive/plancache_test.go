@@ -133,7 +133,7 @@ func TestPlanCacheInvalidatedByCatalogChange(t *testing.T) {
 
 func TestPlanCacheLRUEviction(t *testing.T) {
 	d := newTestDriver(t, core.New())
-	d.PlanCacheEntries = 2
+	d.planCache = NewPlanCache(2)
 	seedSales(t, d)
 
 	qs := []string{

@@ -125,7 +125,7 @@ func (p *Planner) planSelect(s *SelectStmt, d dest, stages *[]*exec.Stage) (relS
 			if err != nil {
 				return nil, err
 			}
-			p.pushFilter(rels[owner], f, c)
+			p.pushFilter(rels[owner], f)
 			continue
 		}
 		residual = append(residual, c)
@@ -186,7 +186,7 @@ func (p *Planner) planSelect(s *SelectStmt, d dest, stages *[]*exec.Stage) (relS
 				if err != nil {
 					return nil, err
 				}
-				p.pushFilter(cur, f, c)
+				p.pushFilter(cur, f)
 			}
 		} else {
 			return nil, fmt.Errorf("hive: WHERE conjunct not resolvable after joins: %s", nodeKey(residual[0]))
@@ -323,7 +323,7 @@ func (p *Planner) inlineSubquery(ref TableRef) (*relation, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		p.pushFilter(rel, f, sub.Where)
+		p.pushFilter(rel, f)
 	}
 	exprs := make([]exec.Expr, len(sub.Items))
 	outSch := make(relSchema, len(sub.Items))
@@ -343,7 +343,7 @@ func (p *Planner) inlineSubquery(ref TableRef) (*relation, bool, error) {
 // pushFilter appends a filter to the relation's pending chain, also
 // registering a pushdown predicate for ORC scans when the shape allows
 // (only while the pending chain hasn't remapped columns yet).
-func (p *Planner) pushFilter(rel *relation, f exec.Expr, orig Node) {
+func (p *Planner) pushFilter(rel *relation, f exec.Expr) {
 	defer func() { rel.pending = append(rel.pending, &exec.FilterOp{Cond: f}) }()
 	if !rel.base || rel.input.Predicate != nil || p.DisablePushdown {
 		return
@@ -356,7 +356,6 @@ func (p *Planner) pushFilter(rel *relation, f exec.Expr, orig Node) {
 	if pred := extractPredicate(f); pred != nil {
 		rel.input.Predicate = pred
 	}
-	_ = orig
 }
 
 // extractPredicate recognizes Cmp(ColRef, Const) shapes for ORC

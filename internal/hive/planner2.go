@@ -138,9 +138,10 @@ func (p *Planner) planJoin(left, right *relation, kind JoinKind, conds []Node,
 		// a RIGHT OUTER b  ==  b LEFT OUTER a, followed by a column
 		// reorder so downstream resolution still sees left ++ right.
 		// Pruning is disabled on this path because the reorder indexes
-		// assume full schemas.
+		// assume full schemas. The conditions pass unchanged: equality
+		// extraction tries both orientations.
 		swapped, err := p.planJoin(right, left, JoinLeftOuterK,
-			swapConds(conds), &neededCols{all: true}, stages)
+			conds, &neededCols{all: true}, stages)
 		if err != nil {
 			return nil, err
 		}
@@ -273,10 +274,6 @@ func (p *Planner) planJoin(left, right *relation, kind JoinKind, conds []Node,
 		sch: prunedSch,
 	}, nil
 }
-
-// swapConds is a no-op marker: equality extraction already tries both
-// orientations, so the condition list can be reused verbatim.
-func swapConds(conds []Node) []Node { return conds }
 
 // inputBytes sums a base relation's file sizes (-1 when unknown).
 func (p *Planner) inputBytes(rel *relation) int64 {

@@ -167,7 +167,7 @@ func (p *Planner) applyResolvable(pool []Node, cur *relation) []Node {
 	var remain []Node
 	for _, c := range pool {
 		if f, _, err := resolve(c, cur.sch); err == nil {
-			p.pushFilter(cur, f, c)
+			p.pushFilter(cur, f)
 		} else {
 			remain = append(remain, c)
 		}

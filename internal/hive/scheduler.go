@@ -52,7 +52,8 @@ func StageDeps(stages []*exec.Stage) [][]int {
 
 // stageInputDirs lists every directory the stage scans: each map work's
 // input and any map-join small tables, including map joins nested in a
-// small side's own load chain and in the reduce-side post chain.
+// small side's own load chain. (The reduce-side post chain holds no map
+// join: buildPost runs filters and projections only.)
 func stageInputDirs(st *exec.Stage) []string {
 	var dirs []string
 	var fromOps func(ops []exec.MapOp)
@@ -71,9 +72,6 @@ func stageInputDirs(st *exec.Stage) []string {
 			dirs = append(dirs, st.Maps[i].Input.Dir)
 		}
 		fromOps(st.Maps[i].Ops)
-	}
-	if st.Reduce != nil {
-		fromOps(st.Reduce.Post)
 	}
 	return dirs
 }

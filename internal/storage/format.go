@@ -97,17 +97,26 @@ type PhysicalReader interface {
 	PhysicalBytes() int64
 }
 
-// OpenSplit returns a reader over one input split. Each format applies
-// its own boundary rule: text splits break at line boundaries, sequence
-// splits at sync markers, ORC splits at stripe starts.
+// BatchReader iterates column batches; NextBatch fills b (whose
+// column count must match the schema) and returns io.EOF at end of
+// input. Unprojected columns come back all-null.
+type BatchReader interface {
+	NextBatch(b *vec.Batch) error
+}
+
+// OpenSplitBatch returns a batch reader over one input split, the one
+// reader of each format. Each format applies its own boundary rule:
+// text splits break at line boundaries, sequence splits at sync
+// markers, ORC splits at stripe starts. ORC serves batches from its
+// pruned column streams, Text parses lines and Sequence decodes block
+// rows straight into vectors.
 //
 // projection optionally lists the column ordinals to materialize: ORC
 // reads only those columns; Text still checks every field of every line
 // but stores only those; Sequence fills the full row regardless.
-// Unprojected columns come back NULL. predicate optionally enables
-// stripe skipping in ORC.
-func OpenSplit(fs *dfs.FileSystem, split dfs.Split, f Format, schema *types.Schema,
-	projection []int, predicate *Predicate) (RowReader, error) {
+// predicate optionally enables stripe skipping in ORC.
+func OpenSplitBatch(fs *dfs.FileSystem, split dfs.Split, f Format, schema *types.Schema,
+	projection []int, predicate *Predicate) (BatchReader, error) {
 	r, err := fs.Open(split.Path)
 	if err != nil {
 		return nil, err
@@ -124,76 +133,55 @@ func OpenSplit(fs *dfs.FileSystem, split dfs.Split, f Format, schema *types.Sche
 	}
 }
 
-// BatchReader iterates column batches; NextBatch fills b (whose
-// column count must match the schema) and returns io.EOF at end of
-// input. Unprojected columns come back all-null, as in OpenSplit's rows.
-type BatchReader interface {
-	NextBatch(b *vec.Batch) error
-}
-
-// OpenSplitBatch returns a batch reader over one input split. ORC
-// serves batches from its pruned column streams and Text parses lines
-// straight into vectors; Sequence rows are packed into vectors typed
-// from the schema.
-func OpenSplitBatch(fs *dfs.FileSystem, split dfs.Split, f Format, schema *types.Schema,
-	projection []int, predicate *Predicate) (BatchReader, error) {
-	rd, err := OpenSplit(fs, split, f, schema, projection, predicate)
+// OpenSplit returns OpenSplitBatch's reader with its batches cut into
+// rows. Each batch is cut from one fresh slab, so rows stay valid for as
+// long as their holders keep them. The reader is a PhysicalReader when
+// the batch reader is (ORC).
+func OpenSplit(fs *dfs.FileSystem, split dfs.Split, f Format, schema *types.Schema,
+	projection []int, predicate *Predicate) (RowReader, error) {
+	br, err := OpenSplitBatch(fs, split, f, schema, projection, predicate)
 	if err != nil {
 		return nil, err
 	}
-	if br, ok := rd.(BatchReader); ok {
-		return br, nil
+	c := rowCutter{br: br, b: vec.Get(schema.Len())}
+	if pr, ok := br.(PhysicalReader); ok {
+		return &physicalCutter{c, pr}, nil
 	}
-	return &rowBatchAdapter{rd: rd, schema: schema}, nil
+	return &c, nil
 }
 
-// rowBatchAdapter packs a RowReader's rows into batches whose columns
-// carry the schema's kinds. Row formats do not enforce the schema
-// (Sequence files hold whatever datums were written), so a column
-// whose datum disagrees with its declared kind drops to datum mode
-// for that batch instead of storing the value through the wrong
-// payload.
-type rowBatchAdapter struct {
-	rd     RowReader
-	schema *types.Schema
-	eof    bool
+// rowCutter serves a batch reader's batches a row at a time. Its batch
+// is pooled and goes back at the reader's first error (io.EOF at the
+// latest), which every later Next repeats; rows never alias it.
+type rowCutter struct {
+	br   BatchReader
+	b    *vec.Batch
+	slab vec.RowSlab
+	i, n int // the next row of the slab, and its row count
+	err  error
 }
 
-func (a *rowBatchAdapter) NextBatch(b *vec.Batch) error {
-	if a.eof {
-		return io.EOF
-	}
-	cols := b.Cols[:a.schema.Len()]
-	for ci, v := range cols {
-		v.Reset(a.schema.Columns[ci].Type, vec.DefaultSize)
-	}
-	n := 0
-	for n < vec.DefaultSize {
-		row, err := a.rd.Next()
-		if err == io.EOF {
-			a.eof = true
-			break
+func (c *rowCutter) Next() (types.Row, error) {
+	for c.i == c.n {
+		if c.err != nil {
+			return nil, c.err
 		}
-		if err != nil {
-			return err
+		if c.err = c.br.NextBatch(c.b); c.err != nil {
+			vec.Put(c.b)
+			c.b = nil
+			return nil, c.err
 		}
-		for ci, v := range cols {
-			var d types.Datum // a short row reads as NULLs
-			if ci < len(row) {
-				d = row[ci]
-			}
-			if !d.IsNull() && d.K != v.Kind && v.Kind != vec.KindAny {
-				v.Demote(n, vec.DefaultSize)
-			}
-			v.SetDatum(n, d)
-		}
-		n++
+		c.slab, c.i, c.n = vec.Materialize(c.b), 0, c.b.N
 	}
-	if n == 0 {
-		return io.EOF
-	}
-	b.N = n
-	return nil
+	c.i++
+	return c.slab.Row(c.i - 1), nil
+}
+
+// physicalCutter is a rowCutter whose batch reader counts the bytes it
+// fetched.
+type physicalCutter struct {
+	rowCutter
+	PhysicalReader
 }
 
 // ReadAll reads every row of a file (testing and small-table helper).

@@ -441,17 +441,10 @@ type orcSplitReader struct {
 	row  int
 	rows int
 
-	// Row mode: the current stripe's rows, row-major in one slab that
-	// Next cuts rows from. A stripe gets a fresh slab, so rows stay
-	// valid for as long as their holders keep them.
-	slab []types.Datum
-	dc   decodedColumn // the column being decoded into the slab
-
-	// vcols holds the batch path's decoded streams (presence + dense
-	// values) per projected column, reused from stripe to stripe, so
-	// NextBatch copies column data straight into vector payloads
-	// without materializing Datums. A reader is used in row mode or
-	// batch mode, never both.
+	// vcols holds the decoded streams (presence + dense values) per
+	// projected column, reused from stripe to stripe, so NextBatch
+	// copies column data straight into vector payloads without
+	// materializing Datums.
 	vcols []*decodedColumn
 
 	// BytesReadPhysical counts compressed bytes actually fetched, the
@@ -512,37 +505,8 @@ func (sr *orcSplitReader) readColumnStream(in *inflater, st *orcStripeMeta, ci i
 	return raw, nil
 }
 
-// loadStripe decompresses the projected columns of st into a new slab.
-func (sr *orcSplitReader) loadStripe(st *orcStripeMeta) error {
-	in := inflaters.Get().(*inflater)
-	defer inflaters.Put(in)
-	width := sr.schema.Len()
-	sr.slab = nil
-	for _, ci := range sr.project {
-		raw, err := sr.readColumnStream(in, st, ci)
-		if err != nil {
-			return err
-		}
-		if err := sr.dc.decode(sr.schema.Columns[ci].Type, raw, st.Rows); err != nil {
-			return err
-		}
-		if sr.slab == nil {
-			// Sized only now that a decoded stream vouches for st.Rows.
-			sr.slab = make([]types.Datum, st.Rows*width)
-		}
-		sr.dc.fillDatums(sr.slab[ci:], width, st.Rows)
-	}
-	if sr.slab == nil {
-		// Nothing projected: st.Rows all-NULL rows, a count validate bounded.
-		sr.slab = make([]types.Datum, st.Rows*width)
-	}
-	sr.rows = st.Rows
-	sr.row = 0
-	return nil
-}
-
 // loadStripeVec decompresses the projected columns of a stripe into
-// raw streams for the batch path.
+// their decoded streams.
 func (sr *orcSplitReader) loadStripeVec(st *orcStripeMeta) error {
 	in := inflaters.Get().(*inflater)
 	defer inflaters.Put(in)
@@ -598,21 +562,3 @@ func (sr *orcSplitReader) NextBatch(b *vec.Batch) error {
 
 // PhysicalBytes implements PhysicalReader.
 func (sr *orcSplitReader) PhysicalBytes() int64 { return sr.BytesReadPhysical }
-
-func (sr *orcSplitReader) Next() (types.Row, error) {
-	for sr.row >= sr.rows {
-		if sr.si >= len(sr.stripes) {
-			return nil, io.EOF
-		}
-		if err := sr.loadStripe(sr.stripes[sr.si]); err != nil {
-			return nil, err
-		}
-		sr.si++
-	}
-	// The capacity is capped at the row's end so that appending to a row
-	// reallocates and cannot reach into its neighbour.
-	width := sr.schema.Len()
-	lo, hi := sr.row*width, (sr.row+1)*width
-	sr.row++
-	return types.Row(sr.slab[lo:hi:hi]), nil
-}

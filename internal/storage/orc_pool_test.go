@@ -226,7 +226,7 @@ func TestFooterMemoBounded(t *testing.T) {
 	}
 }
 
-// TestSlabRowsDoNotAlias: Next cuts rows from one slab per stripe, so a
+// TestSlabRowsDoNotAlias: Next cuts rows from one slab per batch, so a
 // row must end where its neighbour starts, in capacity as in length.
 func TestSlabRowsDoNotAlias(t *testing.T) {
 	fs := newFS()

@@ -301,9 +301,9 @@ func encodeColumn(sc *encScratch, kind types.Kind, col []types.Datum) ([]byte, e
 }
 
 // decodedColumn holds one column's decoded streams (the presence bitmap
-// plus the dense non-null value array) before row or batch
-// materialization. The batch path copies straight from these into
-// vec.Vector payloads, skipping per-row Datum construction entirely.
+// plus the dense non-null value array). fillVector copies straight from
+// these into vec.Vector payloads, skipping per-row Datum construction
+// entirely.
 // Its slices are reused from stripe to stripe.
 type decodedColumn struct {
 	kind    types.Kind
@@ -477,36 +477,6 @@ func (dc *decodedColumn) fillVector(v *vec.Vector, row, n int) {
 				dc.vi++
 			} else {
 				v.SetNull(i)
-			}
-		}
-	}
-}
-
-// fillDatums writes the whole column into dst, row i at dst[i*stride],
-// so that a stripe's columns interleave into one row-major slab. Null
-// rows are left as they are (the zero Datum is NULL).
-func (dc *decodedColumn) fillDatums(dst []types.Datum, stride, rows int) {
-	vi := 0
-	switch dc.kind {
-	case types.KindBool, types.KindInt, types.KindDate:
-		for i := 0; i < rows; i++ {
-			if dc.isPresent(i) {
-				dst[i*stride] = types.Datum{K: dc.kind, I: dc.ints[vi]}
-				vi++
-			}
-		}
-	case types.KindFloat:
-		for i := 0; i < rows; i++ {
-			if dc.isPresent(i) {
-				dst[i*stride] = types.Float(dc.floats[vi])
-				vi++
-			}
-		}
-	case types.KindString:
-		for i := 0; i < rows; i++ {
-			if dc.isPresent(i) {
-				dst[i*stride] = types.String(dc.strs[vi])
-				vi++
 			}
 		}
 	}

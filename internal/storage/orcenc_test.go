@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"hivempi/internal/types"
+	"hivempi/internal/vec"
 )
 
 func TestIntRLERoundTrip(t *testing.T) {
@@ -191,14 +192,11 @@ func TestColumnRoundTripWithNulls(t *testing.T) {
 		if err := dc.decode(kind, buf, len(col)); err != nil {
 			t.Fatalf("%v decode: %v", kind, err)
 		}
-		got := make([]types.Datum, len(col))
-		dc.fillDatums(got, 1, len(col))
+		var v vec.Vector
+		dc.fillVector(&v, 0, len(col))
 		for i := range col {
-			if col[i].IsNull() != got[i].IsNull() {
-				t.Errorf("%v[%d] null mismatch", kind, i)
-			}
-			if !col[i].IsNull() && types.Compare(col[i], got[i]) != 0 {
-				t.Errorf("%v[%d]: %v != %v", kind, i, got[i], col[i])
+			if got := v.Datum(i); got != col[i] {
+				t.Errorf("%v[%d]: %#v != %#v", kind, i, got, col[i])
 			}
 		}
 	}

@@ -200,7 +200,7 @@ func TestORCProjectionReadsFewerBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return rd.(*orcSplitReader).BytesReadPhysical
+		return rd.(PhysicalReader).PhysicalBytes()
 	}
 	all := read(nil)
 	one := read([]int{0})
@@ -228,19 +228,20 @@ func TestORCPredicateSkipsStripes(t *testing.T) {
 	}
 	sz, _ := fs.Size("/pred")
 	pred := &Predicate{Column: 0, Op: PredGE, Value: types.Int(900)}
-	rd, err := OpenSplit(fs, dfs.Split{Path: "/pred", Offset: 0, Length: sz},
+	rd, err := OpenSplitBatch(fs, dfs.Split{Path: "/pred", Offset: 0, Length: sz},
 		FormatORC, schema, nil, pred)
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := vec.NewBatch(schema.Len(), vec.DefaultSize)
 	n := 0
 	for {
-		if _, err := rd.Next(); err == io.EOF {
+		if err := rd.NextBatch(b); err == io.EOF {
 			break
 		} else if err != nil {
 			t.Fatal(err)
 		}
-		n++
+		n += b.N
 	}
 	osr := rd.(*orcSplitReader)
 	if osr.StripesSkipped != 9 {
@@ -362,86 +363,6 @@ func TestPredicateMatchesRange(t *testing.T) {
 		if got := c.p.matchesRange(min, max); got != c.want {
 			t.Errorf("case %d: matchesRange = %v, want %v", i, got, c.want)
 		}
-	}
-}
-
-// sliceReader serves fixed rows as a RowReader.
-type sliceReader struct {
-	rows []types.Row
-	i    int
-}
-
-func (s *sliceReader) Next() (types.Row, error) {
-	if s.i == len(s.rows) {
-		return nil, io.EOF
-	}
-	s.i++
-	return s.rows[s.i-1], nil
-}
-
-// TestRowBatchAdapterTypesFromSchema: the adapter fills vectors typed
-// from the schema, and a datum whose kind disagrees with its column
-// demotes that column — for that batch only — to datum mode rather
-// than being stored through the typed payload. Every lane must read
-// back as exactly the datum the row reader produced.
-func TestRowBatchAdapterTypesFromSchema(t *testing.T) {
-	schema := types.NewSchema(
-		types.Col("a", types.KindInt),
-		types.Col("b", types.KindString),
-		types.Col("c", types.KindFloat),
-	)
-	rows := make([]types.Row, 2*vec.DefaultSize+1)
-	for i := range rows {
-		rows[i] = types.Row{types.Int(int64(i)), types.String(fmt.Sprint("s", i)), types.Float(float64(i) / 2)}
-	}
-	rows[3][1] = types.Null()
-	// Second batch: column a meets a string mid-batch, a bool (same I64
-	// payload as int) and a NULL; column c meets an int.
-	second := rows[vec.DefaultSize:]
-	second[5][0] = types.String("not an int")
-	second[6][0] = types.Bool(true)
-	second[7][0] = types.Null()
-	second[9][2] = types.Int(4)
-	// A short row reads as NULLs in the missing columns.
-	second[10] = second[10][:1]
-
-	a := &rowBatchAdapter{rd: &sliceReader{rows: rows}, schema: schema}
-	b := vec.NewBatch(schema.Len(), vec.DefaultSize)
-	wantKinds := [][]types.Kind{
-		{types.KindInt, types.KindString, types.KindFloat},
-		{vec.KindAny, types.KindString, vec.KindAny},
-		{types.KindInt, types.KindString, types.KindFloat},
-	}
-	seen := 0
-	for batch := 0; ; batch++ {
-		err := a.NextBatch(b)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		for c, v := range b.Cols {
-			if v.Kind != wantKinds[batch][c] {
-				t.Errorf("batch %d column %d kind %v, want %v", batch, c, v.Kind, wantKinds[batch][c])
-			}
-		}
-		for i := 0; i < b.N; i++ {
-			want := rows[seen]
-			for c, got := range b.Row(i, nil) {
-				w := types.Null()
-				if c < len(want) {
-					w = want[c]
-				}
-				if got != w {
-					t.Fatalf("row %d column %d = %#v, want %#v", seen, c, got, w)
-				}
-			}
-			seen++
-		}
-	}
-	if seen != len(rows) {
-		t.Fatalf("adapter served %d rows, want %d", seen, len(rows))
 	}
 }
 

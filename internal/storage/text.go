@@ -48,10 +48,10 @@ func (t *textWriter) Close() error {
 // skip the partial first line and every reader runs past the split end
 // to finish its final line (the standard Hadoop TextInputFormat rule).
 //
-// It serves rows (Next) and column batches (NextBatch) from one
-// tokenizer (readLine, parseLine) and one field parser (parseField).
-// Every field of every line is parsed against the schema whether or not
-// its column is projected; projection only decides what is stored.
+// It parses lines straight into column batches with one tokenizer
+// (readLine, parseLine) and one field parser (parseField). Every field
+// of every line is parsed against the schema whether or not its column
+// is projected; projection only decides what is stored.
 type textSplitReader struct {
 	br      *bufio.Reader
 	schema  *types.Schema
@@ -263,26 +263,6 @@ func daysIn(y, m int) int {
 		return 28
 	}
 	return 31
-}
-
-// Next returns the split's next row. Unprojected columns are NULL.
-func (t *textSplitReader) Next() (types.Row, error) {
-	if err := t.nextLine(); err != nil {
-		return nil, err
-	}
-	row := make(types.Row, len(t.vals))
-	for _, ci := range t.project {
-		v := t.vals[ci]
-		if v.null {
-			continue
-		}
-		d := types.Datum{K: t.kinds[ci], I: v.i, F: v.f}
-		if d.K == types.KindString {
-			d.S = string(t.fields[ci])
-		}
-		row[ci] = d
-	}
-	return row, nil
 }
 
 // NextBatch implements BatchReader: up to vec.DefaultSize lines parsed

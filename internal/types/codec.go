@@ -38,43 +38,54 @@ func AppendDatum(buf []byte, d Datum) []byte {
 // DecodeDatum decodes one datum from buf, returning it and the number of
 // bytes consumed.
 func DecodeDatum(buf []byte) (Datum, int, error) {
+	d, s, n, err := DecodeDatumBytes(buf)
+	if d.K == KindString {
+		d.S = string(s)
+	}
+	return d, n, err
+}
+
+// DecodeDatumBytes is DecodeDatum without the string copy: a string
+// datum comes back with an empty S and its bytes in s, which alias buf.
+// Readers that cut many strings from one arena use it.
+func DecodeDatumBytes(buf []byte) (d Datum, s []byte, n int, err error) {
 	if len(buf) == 0 {
-		return Datum{}, 0, fmt.Errorf("decode datum: empty buffer")
+		return Datum{}, nil, 0, fmt.Errorf("decode datum: empty buffer")
 	}
 	k := Kind(buf[0])
 	pos := 1
 	switch k {
 	case KindNull:
-		return Null(), pos, nil
+		return Null(), nil, pos, nil
 	case KindBool:
 		if len(buf) < 2 {
-			return Datum{}, 0, fmt.Errorf("decode bool: short buffer")
+			return Datum{}, nil, 0, fmt.Errorf("decode bool: short buffer")
 		}
-		return Bool(buf[1] != 0), 2, nil
+		return Bool(buf[1] != 0), nil, 2, nil
 	case KindInt, KindDate:
 		v, n := binary.Varint(buf[pos:])
 		if n <= 0 {
-			return Datum{}, 0, fmt.Errorf("decode int: bad varint")
+			return Datum{}, nil, 0, fmt.Errorf("decode int: bad varint")
 		}
-		return Datum{K: k, I: v}, pos + n, nil
+		return Datum{K: k, I: v}, nil, pos + n, nil
 	case KindFloat:
 		if len(buf) < pos+8 {
-			return Datum{}, 0, fmt.Errorf("decode float: short buffer")
+			return Datum{}, nil, 0, fmt.Errorf("decode float: short buffer")
 		}
 		bits := binary.LittleEndian.Uint64(buf[pos:])
-		return Float(math.Float64frombits(bits)), pos + 8, nil
+		return Float(math.Float64frombits(bits)), nil, pos + 8, nil
 	case KindString:
 		l, n := binary.Uvarint(buf[pos:])
 		if n <= 0 {
-			return Datum{}, 0, fmt.Errorf("decode string: bad length")
+			return Datum{}, nil, 0, fmt.Errorf("decode string: bad length")
 		}
 		pos += n
 		if uint64(len(buf)-pos) < l {
-			return Datum{}, 0, fmt.Errorf("decode string: short buffer")
+			return Datum{}, nil, 0, fmt.Errorf("decode string: short buffer")
 		}
-		return String(string(buf[pos : pos+int(l)])), pos + int(l), nil
+		return Datum{K: KindString}, buf[pos : pos+int(l)], pos + int(l), nil
 	default:
-		return Datum{}, 0, fmt.Errorf("decode datum: unknown kind %d", k)
+		return Datum{}, nil, 0, fmt.Errorf("decode datum: unknown kind %d", k)
 	}
 }
 
@@ -95,6 +106,10 @@ func DecodeRow(buf []byte) (Row, int, error) {
 		return nil, 0, fmt.Errorf("decode row: bad column count")
 	}
 	pos := used
+	// Every datum takes at least its kind byte.
+	if n > uint64(len(buf)-pos) {
+		return nil, 0, fmt.Errorf("decode row: %d columns in %d bytes", n, len(buf)-pos)
+	}
 	row := make(Row, 0, n)
 	for i := uint64(0); i < n; i++ {
 		d, c, err := DecodeDatum(buf[pos:])

@@ -2,6 +2,7 @@ package types
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sort"
@@ -65,6 +66,25 @@ func TestDecodeErrors(t *testing.T) {
 	}
 	if _, _, err := DecodeRow([]byte{}); err == nil {
 		t.Error("DecodeRow empty should fail")
+	}
+}
+
+// TestDecodeRowHostileCount: a column count the buffer cannot hold is
+// an error, not an allocation sized by the claim.
+func TestDecodeRowHostileCount(t *testing.T) {
+	for _, buf := range [][]byte{
+		binary.AppendUvarint(nil, 1<<62), // the whole buffer is the count
+		append(binary.AppendUvarint(nil, 1<<63+5), 0, 0),
+		{9, 0, 0, 0, 0, 0, 0, 0, 0}, // one datum short
+	} {
+		if _, _, err := DecodeRow(buf); err == nil {
+			t.Errorf("%x decoded", buf)
+		}
+	}
+	// As many NULL datums as the count claims still decode.
+	row, used, err := DecodeRow([]byte{3, 0, 0, 0})
+	if err != nil || len(row) != 3 || used != 4 {
+		t.Errorf("three NULLs: %v, %d bytes, %v", row, used, err)
 	}
 }
 

@@ -280,6 +280,34 @@ func (b *Batch) Row(i int, dst types.Row) types.Row {
 	return dst
 }
 
+// RowSlab is a batch materialized row-major into one fresh allocation.
+// Consumers retain the rows it cuts (collectors, the map-join table,
+// storage.OpenSplit's callers), so a slab is never reused.
+type RowSlab struct {
+	data  []types.Datum
+	width int
+}
+
+// Materialize copies b's N rows into a new slab.
+func Materialize(b *Batch) RowSlab {
+	s := RowSlab{data: make([]types.Datum, b.N*len(b.Cols)), width: len(b.Cols)}
+	for c, v := range b.Cols {
+		if v.Kind == types.KindNull {
+			continue // an unprojected column: the zero Datum is NULL
+		}
+		for lane := 0; lane < b.N; lane++ {
+			s.data[lane*s.width+c] = v.Datum(lane)
+		}
+	}
+	return s
+}
+
+// Row cuts row i, capped so an append to it cannot reach its neighbour.
+func (s RowSlab) Row(i int) types.Row {
+	lo, hi := i*s.width, (i+1)*s.width
+	return s.data[lo:hi:hi]
+}
+
 // Compact keeps exactly the rows whose mask bit is true, preserving
 // order, moving survivors to the front of every column in place, and
 // updates N. mask must cover b.N rows.
