@@ -69,7 +69,7 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) \
 		./internal/kvio/ ./internal/datampi/ ./internal/dfs/ ./internal/hadoop/ \
 		| tee /dev/stderr | $(GO) run ./cmd/benchfmt > BENCH_shuffle.json
-	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) ./internal/vec/ ./internal/exec/ ./internal/storage/ \
+	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) ./internal/vec/ ./internal/exec/ ./internal/storage/ ./internal/types/ \
 		| tee /dev/stderr | $(GO) run ./cmd/benchfmt > BENCH_vec.json
 	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) ./internal/adapt/ \
 		| tee /dev/stderr | $(GO) run ./cmd/benchfmt > BENCH_skew.json
@@ -82,7 +82,7 @@ BUNDLE_DIR ?= bundles
 bundles:
 	$(GO) run ./cmd/benchsuite -quick -exp skew -bundle $(BUNDLE_DIR)
 
-# benchdiff re-runs the shuffle and map-side batch microbenchmarks and
+# benchdiff re-runs the shuffle and executor microbenchmarks and
 # compares them to the committed BENCH_shuffle.json / BENCH_vec.json
 # baselines; it fails on a ns/op regression past BENCH_TOL (or
 # allocs/op growth past 2%). CI runs this blocking at the default 10%; label a
@@ -97,7 +97,7 @@ benchdiff: bundles
 		./internal/kvio/ ./internal/datampi/ ./internal/dfs/ ./internal/hadoop/ \
 		| $(GO) run ./cmd/benchfmt > /tmp/bench_current.json
 	$(GO) run ./cmd/benchdiff -tolerance $(BENCH_TOL) -attr $(BUNDLE_DIR) BENCH_shuffle.json /tmp/bench_current.json
-	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) ./internal/vec/ ./internal/exec/ ./internal/storage/ \
+	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) ./internal/vec/ ./internal/exec/ ./internal/storage/ ./internal/types/ \
 		| $(GO) run ./cmd/benchfmt > /tmp/bench_vec_current.json
 	$(GO) run ./cmd/benchdiff -tolerance $(BENCH_TOL) -attr $(BUNDLE_DIR) BENCH_vec.json /tmp/bench_vec_current.json
 	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) ./internal/adapt/ \

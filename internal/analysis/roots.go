@@ -57,7 +57,8 @@ var HotRootPackages = []string{"kvio", "datampi", "vec", "hadoop"}
 // packages, keyed by internal package name, then receiver type name
 // ("" for free functions): the dfs per-I/O paths and the plan cache's
 // per-statement lookup/insert path in hive, the storage codec's
-// per-row, per-stream and per-stripe paths, and the map-side executor.
+// per-row, per-stream and per-stripe paths, and the executors on both
+// sides of the shuffle.
 var HotRootMethods = map[string]map[string][]string{
 	"dfs": {
 		"Writer": {"Write"},
@@ -83,8 +84,11 @@ var HotRootMethods = map[string]map[string][]string{
 	},
 	// RunMapTask is the only map-side executor: every operator, kernel
 	// and terminal it builds runs per batch or per lane of every scan.
+	// ReduceDriver.Feed is the reduce side's: it runs per key group on
+	// both engines, and its per-group cost must not grow per value.
 	"exec": {
-		"": {"RunMapTask"},
+		"":             {"RunMapTask"},
+		"ReduceDriver": {"Feed"},
 	},
 	// bundle.categorize runs per stage on every bundle capture and
 	// inside the benchdiff attribution path; keeping it alloc- and

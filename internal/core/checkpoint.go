@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"hivempi/internal/exec"
 	"hivempi/internal/kvio"
@@ -38,12 +39,23 @@ func checkpointPath(stageID string, rank int) string {
 
 // checkpointRecorder accumulates one O task's emitted pairs as a single
 // flat kvio-encoded buffer: one append per pair on the shuffle hot
-// path, instead of two per-pair clone allocations.
+// path, instead of two per-pair clone allocations. The buffer comes
+// from ckptBufs with ckptHeaderRoom bytes reserved at its front, so
+// commit writes the header in place instead of copying the pairs
+// behind it.
 type checkpointRecorder struct {
-	buf       []byte
+	buf       *[]byte
 	bytes     int64
 	oversized bool
 }
+
+// ckptHeaderRoom holds the two uvarint input counters.
+const ckptHeaderRoom = 2 * binary.MaxVarintLen64
+
+// ckptBufs recycles recorder buffers across O tasks, so a task's pairs
+// land in capacity an earlier task already grew. dfs copies what it is
+// given, so a buffer goes back as soon as commit has written it.
+var ckptBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // record appends one emitted pair (copying, since the engine may reuse
 // the key/value buffers).
@@ -54,10 +66,27 @@ func (r *checkpointRecorder) record(k, v []byte) {
 	r.bytes += int64(len(k) + len(v))
 	if r.bytes > maxCheckpointBytes {
 		r.oversized = true
-		r.buf = nil
+		r.release()
 		return
 	}
-	r.buf = kvio.AppendKV(r.buf, k, v)
+	if r.buf == nil {
+		r.take()
+	}
+	*r.buf = kvio.AppendKV(*r.buf, k, v)
+}
+
+// take gets a pooled buffer, emptied down to its header room.
+func (r *checkpointRecorder) take() {
+	r.buf = ckptBufs.Get().(*[]byte)
+	*r.buf = append((*r.buf)[:0], make([]byte, ckptHeaderRoom)...)
+}
+
+// release returns the buffer to the pool.
+func (r *checkpointRecorder) release() {
+	if r.buf != nil {
+		ckptBufs.Put(r.buf)
+		r.buf = nil
+	}
 }
 
 // commit publishes the checkpoint atomically; failures are swallowed
@@ -67,13 +96,20 @@ func (r *checkpointRecorder) commit(env *exec.Env, stageID string, rank int, m *
 	if r.oversized {
 		return
 	}
+	if r.buf == nil {
+		r.take()
+	}
+	defer r.release()
 	meta := checkpointMeta{InputBytes: m.InputBytes, InputRecords: m.InputRecords}
 	path := checkpointPath(stageID, rank)
 	tmp := path + ".tmp"
-	data := make([]byte, 0, 2*binary.MaxVarintLen64+len(r.buf))
-	data = binary.AppendUvarint(data, uint64(meta.InputBytes))
-	data = binary.AppendUvarint(data, uint64(meta.InputRecords))
-	data = append(data, r.buf...)
+	// The header goes right-aligned into the reserved room.
+	var hdr [ckptHeaderRoom]byte
+	h := binary.AppendUvarint(hdr[:0], uint64(meta.InputBytes))
+	h = binary.AppendUvarint(h, uint64(meta.InputRecords))
+	off := ckptHeaderRoom - len(h)
+	data := (*r.buf)[off:]
+	copy(data, h)
 	if err := env.FS.WriteFile(tmp, data); err != nil {
 		env.FS.Delete(tmp)
 		return

@@ -190,6 +190,7 @@ func (e *Engine) Run(env *exec.Env, stage *exec.Stage, conf exec.EngineConf) (*e
 				return o.Send(k, v)
 			}
 			if err := exec.RunMapTask(env, conf, stage, mapIdx, split, send, nil, m); err != nil {
+				rec.release()
 				return err
 			}
 			// Commit even when the task emitted nothing, so a retry

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -141,4 +142,64 @@ func BenchmarkGroupByPartial(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchJoinGroup is a Q3-shaped join group: one left row (a string
+// and a date) meeting n right rows (a string, an int, a float).
+func benchJoinGroup(n int) (*ReduceWork, []byte, [][]byte) {
+	work := &ReduceWork{
+		KeyKinds: []types.Kind{types.KindInt},
+		Op: &JoinReduce{TagCount: 2, ValueWidths: []int{2, 3},
+			JoinTypes: []JoinType{JoinInner}},
+	}
+	values := [][]byte{types.EncodeRow([]byte{0},
+		types.Row{types.String("Customer#000004242"), types.MustDate("1995-03-15")})}
+	for i := 0; i < n; i++ {
+		values = append(values, types.EncodeRow([]byte{1}, types.Row{
+			types.String(fmt.Sprintf("1-URGENT-%05d", i)), types.Int(int64(i)), types.Float(float64(i) * 1.5)}))
+	}
+	return work, types.AppendKeyDatum(nil, types.Int(4242), false), values
+}
+
+// benchGroupByGroup is a partial-merge group with a string key: n
+// partial states of sum, avg and count.
+func benchGroupByGroup(n int) (*ReduceWork, []byte, [][]byte) {
+	work := &ReduceWork{
+		KeyKinds: []types.Kind{types.KindString},
+		Op: &GroupByReduce{Aggs: []AggSpec{
+			{Kind: AggSum, Arg: col(0)}, {Kind: AggAvg, Arg: col(1)}, {Kind: AggCount, Arg: col(2)},
+		}},
+	}
+	var values [][]byte
+	for i := 0; i < n; i++ {
+		values = append(values, types.EncodeRow([]byte{0}, types.Row{
+			types.Float(float64(i) * 0.25), types.Float(float64(i)), types.Int(3), types.Int(int64(i))}))
+	}
+	return work, types.AppendKeyDatum(nil, types.String("BUILDING-1995-03"), false), values
+}
+
+// benchFeed feeds one group per op through a driver whose sink drops
+// the rows.
+func benchFeed(b *testing.B, work *ReduceWork, key []byte, values [][]byte) {
+	rd, err := NewReduceDriver(&Env{}, work, func(types.Row) error { return nil }, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := rd.Feed(key, values); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkReduceFeedJoin(b *testing.B) {
+	work, key, values := benchJoinGroup(64)
+	benchFeed(b, work, key, values)
+}
+
+func BenchmarkReduceFeedGroupBy(b *testing.B) {
+	work, key, values := benchGroupByGroup(64)
+	benchFeed(b, work, key, values)
 }

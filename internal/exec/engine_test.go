@@ -171,9 +171,11 @@ func TestShuffleKeyAndValueRoundTrip(t *testing.T) {
 		if err != nil || d1 != w[1] {
 			t.Fatalf("pair %d key col1 = %v, %v", i, d1, err)
 		}
-		tag, vrow, err := decodeValue(vals[i])
-		if err != nil || tag != 3 || len(vrow) != 1 || vrow[0] != w[2] {
-			t.Fatalf("pair %d value round trip: tag=%d row=%v err=%v", i, tag, vrow, err)
+		var vrow types.RowSlab
+		_, err = vrow.AppendRow(vals[i][1:])
+		vrow.Seal()
+		if tag := vals[i][0]; err != nil || tag != 3 || len(vrow.Datums) != 1 || vrow.Datums[0] != w[2] {
+			t.Fatalf("pair %d value round trip: tag=%d row=%v err=%v", i, tag, vrow.Datums, err)
 		}
 	}
 }

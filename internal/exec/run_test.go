@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hivempi/internal/dfs"
@@ -495,6 +496,24 @@ func TestStageValidate(t *testing.T) {
 	}
 	if err := st.Validate(); err == nil {
 		t.Error("keys without shuffle should fail")
+	}
+	join := func(tags int) *Stage {
+		st := &Stage{
+			ID:      "j",
+			Shuffle: &ShuffleSpec{},
+			Reduce:  &ReduceWork{Op: &JoinReduce{TagCount: tags, ValueWidths: make([]int, tags)}},
+			Collect: true,
+		}
+		for i := 0; i < tags; i++ {
+			st.Maps = append(st.Maps, MapWork{Input: TableInput{Paths: []string{"/p"}}, Tag: i, Keys: []Expr{col(0)}})
+		}
+		return st
+	}
+	if err := join(2).Validate(); err != nil {
+		t.Errorf("two-tag join: %v", err)
+	}
+	if err := join(1).Validate(); err == nil || !strings.Contains(err.Error(), "at least 2") {
+		t.Errorf("one-tag join: %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"hivempi/internal/trace"
 	"hivempi/internal/types"
@@ -20,12 +21,19 @@ type ReduceDriver struct {
 	groupsFed int
 	closed    bool
 
-	// Per-group scratch, reset by each Feed instead of reallocated:
-	// nothing emitted refers to it (group-by output copies keyRow and
-	// takes Final values; join buckets only hold freshly decoded rows).
-	keyRow  types.Row
+	// Per-group scratch, reset by each Feed instead of reallocated
+	// (DESIGN.md "The reduce side decodes a group into one slab"). The
+	// group's key row and value rows are sub-slices of slab; value i
+	// ends at rowEnds[i] and carries tags[i]. Nothing handed to post
+	// is scratch: group-by output rows, join fold rows and extract rows
+	// are fresh per group, and their strings point into the group's
+	// immutable arena.
+	slab    types.RowSlab
+	rowEnds []int
+	tags    []byte
 	states  []*AggState
 	buckets [][]types.Row
+	folds   [2][]types.Row // row headers of alternate join fold steps
 }
 
 // NewReduceDriver builds the post chain ending at out.
@@ -94,38 +102,48 @@ func buildPost(ops []MapOp, sink RowSink) (RowSink, error) {
 	return sink, nil
 }
 
-// decodeKey reverses the order-preserving key encoding into the
-// driver's key row, valid until the next call.
-func (d *ReduceDriver) decodeKey(key []byte) (types.Row, error) {
-	out := d.keyRow[:0]
+// decodeGroup decodes the group's key and values into the slab and
+// returns the key row; value i is d.row(i).
+func (d *ReduceDriver) decodeGroup(key []byte, values [][]byte) (types.Row, error) {
+	s := &d.slab
+	s.Reset()
+	d.rowEnds, d.tags = d.rowEnds[:0], d.tags[:0]
 	pos := 0
 	for i, k := range d.work.KeyKinds {
 		desc := false
 		if d.work.KeyDescs != nil && i < len(d.work.KeyDescs) {
 			desc = d.work.KeyDescs[i]
 		}
-		dat, n, err := types.DecodeKeyDatum(key[pos:], k, desc)
+		n, err := s.AppendKey(key[pos:], k, desc)
 		if err != nil {
 			return nil, fmt.Errorf("exec: decode key column %d: %w", i, err)
 		}
-		out = append(out, dat)
 		pos += n
 	}
-	d.keyRow = out
-	return out, nil
+	for _, v := range values {
+		if len(v) == 0 {
+			return nil, fmt.Errorf("exec: empty shuffle value")
+		}
+		if _, err := s.AppendRow(v[1:]); err != nil {
+			return nil, fmt.Errorf("exec: decode shuffle value: %w", err)
+		}
+		d.tags = append(d.tags, v[0])
+		d.rowEnds = append(d.rowEnds, len(s.Datums))
+	}
+	s.Seal()
+	nk := len(d.work.KeyKinds)
+	return s.Datums[:nk:nk], nil
 }
 
-// decodeValue strips the tag byte and decodes the row payload.
-func decodeValue(val []byte) (int, types.Row, error) {
-	if len(val) == 0 {
-		return 0, nil, fmt.Errorf("exec: empty shuffle value")
+// row is value i of the group decodeGroup last decoded, capacity-capped
+// so an append cannot reach the next row.
+func (d *ReduceDriver) row(i int) types.Row {
+	lo := len(d.work.KeyKinds)
+	if i > 0 {
+		lo = d.rowEnds[i-1]
 	}
-	tag := int(val[0])
-	row, _, err := types.DecodeRow(val[1:])
-	if err != nil {
-		return 0, nil, fmt.Errorf("exec: decode shuffle value: %w", err)
-	}
-	return tag, row, nil
+	hi := d.rowEnds[i]
+	return d.slab.Datums[lo:hi:hi]
 }
 
 // Feed processes one key group.
@@ -134,24 +152,26 @@ func (d *ReduceDriver) Feed(key []byte, values [][]byte) error {
 	if d.metrics != nil {
 		d.metrics.InputRecords += int64(len(values))
 	}
-	keyRow, err := d.decodeKey(key)
+	keyRow, err := d.decodeGroup(key, values)
 	if err != nil {
 		return err
 	}
 	switch op := d.work.Op.(type) {
 	case *GroupByReduce:
-		return d.feedGroupBy(op, keyRow, values)
+		return d.feedGroupBy(op, keyRow, len(values))
 	case *JoinReduce:
-		return d.feedJoin(op, values)
+		return d.feedJoin(op, len(values))
 	case *ExtractReduce:
-		for _, v := range values {
-			_, row, err := decodeValue(v)
-			if err != nil {
+		// The sink may keep the rows: copy them out of the slab, into
+		// one fresh slab per group.
+		rows := slices.Clone(d.slab.Datums[len(keyRow):])
+		lo := 0
+		for i := range values {
+			hi := d.rowEnds[i] - len(keyRow)
+			if err := d.post(rows[lo:hi:hi]); err != nil {
 				return err
 			}
-			if err := d.post(row); err != nil {
-				return err
-			}
+			lo = hi
 		}
 		return nil
 	default:
@@ -159,9 +179,9 @@ func (d *ReduceDriver) Feed(key []byte, values [][]byte) error {
 	}
 }
 
-// feedGroupBy merges partial states (or raw values in complete mode)
-// and emits key ++ finals.
-func (d *ReduceDriver) feedGroupBy(op *GroupByReduce, keyRow types.Row, values [][]byte) error {
+// feedGroupBy merges the group's n partial states (or raw values in
+// complete mode) and emits key ++ finals.
+func (d *ReduceDriver) feedGroupBy(op *GroupByReduce, keyRow types.Row, n int) error {
 	if d.states == nil {
 		d.states = make([]*AggState, len(op.Aggs))
 		for i, spec := range op.Aggs {
@@ -172,11 +192,8 @@ func (d *ReduceDriver) feedGroupBy(op *GroupByReduce, keyRow types.Row, values [
 	for _, st := range states {
 		st.reset()
 	}
-	for _, v := range values {
-		_, row, err := decodeValue(v)
-		if err != nil {
-			return err
-		}
+	for v := 0; v < n; v++ {
+		row := d.row(v)
 		if op.Complete {
 			// Raw mode: row carries one evaluated argument per agg.
 			if len(row) != len(op.Aggs) {
@@ -214,23 +231,21 @@ func (d *ReduceDriver) feedGroupBy(op *GroupByReduce, keyRow types.Row, values [
 	return d.post(out)
 }
 
-// feedJoin buckets the group's rows by tag and emits the join of the
-// buckets, left-folding with the configured join types.
-func (d *ReduceDriver) feedJoin(op *JoinReduce, values [][]byte) error {
+// feedJoin buckets the group's n rows by tag and emits the join of the
+// buckets, left-folding with the configured join types. Each fold step
+// builds its rows in one fresh slab; the zero Datum is the NULL pad.
+func (d *ReduceDriver) feedJoin(op *JoinReduce, n int) error {
 	if d.buckets == nil {
 		d.buckets = make([][]types.Row, op.TagCount)
 	}
 	buckets := d.buckets
 	for t := range buckets {
-		clear(buckets[t]) // do not pin the last group's rows
+		clear(buckets[t]) // do not pin a grown slab's old array
 		buckets[t] = buckets[t][:0]
 	}
-	for _, v := range values {
-		tag, row, err := decodeValue(v)
-		if err != nil {
-			return err
-		}
-		if tag < 0 || tag >= op.TagCount {
+	for v := 0; v < n; v++ {
+		tag, row := int(d.tags[v]), d.row(v)
+		if tag >= op.TagCount {
 			return fmt.Errorf("exec: join tag %d out of range %d", tag, op.TagCount)
 		}
 		if len(row) != op.ValueWidths[tag] {
@@ -240,7 +255,8 @@ func (d *ReduceDriver) feedJoin(op *JoinReduce, values [][]byte) error {
 		buckets[tag] = append(buckets[tag], row)
 	}
 
-	// Left-fold: acc starts as tag 0's rows.
+	// Left-fold: acc starts as tag 0's rows (scratch; Stage.Validate
+	// demands a second tag, so a fold always copies them out).
 	acc := buckets[0]
 	accWidth := op.ValueWidths[0]
 	for t := 1; t < op.TagCount; t++ {
@@ -249,31 +265,35 @@ func (d *ReduceDriver) feedJoin(op *JoinReduce, values [][]byte) error {
 			jt = op.JoinTypes[t-1]
 		}
 		right := buckets[t]
-		rightWidth := op.ValueWidths[t]
-		var next []types.Row
+		w := accWidth + op.ValueWidths[t]
+		next := d.folds[t%2]
+		clear(next) // do not pin an earlier fold's rows
+		next = next[:0]
 		switch {
 		case len(right) == 0 && jt == JoinLeftOuter:
-			nulls := make(types.Row, rightWidth)
-			for _, l := range acc {
-				out := make(types.Row, 0, accWidth+rightWidth)
-				out = append(out, l...)
-				out = append(out, nulls...)
+			rows := make([]types.Datum, len(acc)*w)
+			for i, l := range acc {
+				out := rows[i*w : (i+1)*w : (i+1)*w]
+				copy(out, l)
 				next = append(next, out)
 			}
 		case len(right) == 0 || len(acc) == 0:
-			next = nil
 		default:
+			rows := make([]types.Datum, len(acc)*len(right)*w)
+			i := 0
 			for _, l := range acc {
 				for _, r := range right {
-					out := make(types.Row, 0, accWidth+rightWidth)
-					out = append(out, l...)
-					out = append(out, r...)
+					out := rows[i*w : (i+1)*w : (i+1)*w]
+					copy(out, l)
+					copy(out[accWidth:], r)
 					next = append(next, out)
+					i++
 				}
 			}
 		}
+		d.folds[t%2] = next
 		acc = next
-		accWidth += rightWidth
+		accWidth = w
 		if len(acc) == 0 {
 			return nil // no left rows survive; later folds stay empty
 		}
@@ -306,7 +326,11 @@ func (d *ReduceDriver) Close() error {
 	d.closed = true
 	if gb, ok := d.work.Op.(*GroupByReduce); ok &&
 		len(d.work.KeyKinds) == 0 && d.groupsFed == 0 {
-		return d.feedGroupBy(gb, nil, nil)
+		keyRow, err := d.decodeGroup(nil, nil)
+		if err != nil {
+			return err
+		}
+		return d.feedGroupBy(gb, keyRow, 0)
 	}
 	return nil
 }

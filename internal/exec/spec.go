@@ -242,6 +242,11 @@ func (s *Stage) Validate() error {
 	}
 	if !mapOnly {
 		if jr, ok := s.Reduce.Op.(*JoinReduce); ok {
+			// A one-tag join would hand the driver's scratch rows to
+			// the post chain; the planner never builds one.
+			if jr.TagCount < 2 {
+				return fmt.Errorf("exec: stage %s join has %d tags, want at least 2", s.ID, jr.TagCount)
+			}
 			if jr.TagCount != len(s.Maps) {
 				return fmt.Errorf("exec: stage %s join tags %d != map works %d",
 					s.ID, jr.TagCount, len(s.Maps))

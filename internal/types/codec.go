@@ -1,9 +1,11 @@
 package types
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Binary row codec
@@ -98,28 +100,82 @@ func EncodeRow(buf []byte, r Row) []byte {
 	return buf
 }
 
-// DecodeRow decodes a row encoded by EncodeRow, returning the row and
-// bytes consumed.
-func DecodeRow(buf []byte) (Row, int, error) {
-	n, used := binary.Uvarint(buf)
-	if used <= 0 {
-		return nil, 0, fmt.Errorf("decode row: bad column count")
+// RowSlab decodes encoded rows and order-preserving keys into one datum
+// slab whose strings are cut from one arena. AppendRow and AppendKey
+// leave each string datum's S empty and its bytes in a pending buffer;
+// Seal, called once after the last append, turns that buffer into one
+// string and points every string datum at its piece. The slab is
+// scratch, valid until the next Reset; the strings its datums hold
+// after Seal are immutable and may outlive it.
+type RowSlab struct {
+	Datums []Datum
+	strs   []byte // string bytes of Datums, in order
+	ends   []int  // end of each string datum's bytes in strs
+}
+
+// Reset empties the slab, keeping its capacity. The datums are zeroed
+// so the slab does not pin the last group's arena.
+func (s *RowSlab) Reset() {
+	clear(s.Datums)
+	s.Datums, s.strs, s.ends = s.Datums[:0], s.strs[:0], s.ends[:0]
+}
+
+// AppendRow decodes a row encoded by EncodeRow onto Datums and returns
+// the bytes consumed. The column count is bounded by the bytes left,
+// since every datum takes at least its kind byte.
+func (s *RowSlab) AppendRow(buf []byte) (int, error) {
+	n, pos := binary.Uvarint(buf)
+	if pos <= 0 {
+		return 0, fmt.Errorf("decode row: bad column count")
 	}
-	pos := used
-	// Every datum takes at least its kind byte.
 	if n > uint64(len(buf)-pos) {
-		return nil, 0, fmt.Errorf("decode row: %d columns in %d bytes", n, len(buf)-pos)
+		return 0, fmt.Errorf("decode row: %d columns in %d bytes", n, len(buf)-pos)
 	}
-	row := make(Row, 0, n)
+	s.Datums = slices.Grow(s.Datums, int(n))
 	for i := uint64(0); i < n; i++ {
-		d, c, err := DecodeDatum(buf[pos:])
+		d, str, c, err := DecodeDatumBytes(buf[pos:])
 		if err != nil {
-			return nil, 0, fmt.Errorf("decode row column %d: %w", i, err)
+			return 0, fmt.Errorf("decode row column %d: %w", i, err)
 		}
-		row = append(row, d)
+		if d.K == KindString {
+			s.strs = append(s.strs, str...)
+			s.ends = append(s.ends, len(s.strs))
+		}
+		s.Datums = append(s.Datums, d)
 		pos += c
 	}
-	return row, pos, nil
+	return pos, nil
+}
+
+// AppendKey decodes one datum written by AppendKeyDatum onto Datums
+// and returns the bytes consumed.
+func (s *RowSlab) AppendKey(buf []byte, k Kind, desc bool) (int, error) {
+	d, strs, n, err := DecodeKeyDatumBytes(s.strs, buf, k, desc)
+	if err != nil {
+		return 0, err
+	}
+	s.strs = strs
+	if d.K == KindString {
+		s.ends = append(s.ends, len(s.strs))
+	}
+	s.Datums = append(s.Datums, d)
+	return n, nil
+}
+
+// Seal gives every string datum its string, all cut from one
+// allocation.
+func (s *RowSlab) Seal() {
+	if len(s.ends) == 0 {
+		return
+	}
+	arena, cell, lo := string(s.strs), 0, 0
+	for i := range s.Datums {
+		if s.Datums[i].K == KindString {
+			hi := s.ends[cell]
+			s.Datums[i].S = arena[lo:hi]
+			cell, lo = cell+1, hi
+		}
+	}
 }
 
 // Order-preserving key codec
@@ -185,68 +241,81 @@ const (
 // encoding does not distinguish int from float, so the caller supplies
 // the expected kind. Returns the datum and bytes consumed.
 func DecodeKeyDatum(buf []byte, k Kind, desc bool) (Datum, int, error) {
+	var tmp [64]byte // a short string unescapes on the stack
+	d, s, n, err := DecodeKeyDatumBytes(tmp[:0], buf, k, desc)
+	if d.K == KindString {
+		d.S = string(s)
+	}
+	return d, n, err
+}
+
+// DecodeKeyDatumBytes is DecodeKeyDatum without the string allocation:
+// a string datum comes back with an empty S and its unescaped bytes
+// appended to dst. Returns the datum, dst and the bytes consumed.
+func DecodeKeyDatumBytes(dst, buf []byte, k Kind, desc bool) (Datum, []byte, int, error) {
 	if len(buf) == 0 {
-		return Datum{}, 0, fmt.Errorf("decode key: empty buffer")
+		return Datum{}, dst, 0, fmt.Errorf("decode key: empty buffer")
 	}
-	get := func(i int) byte {
-		if desc {
-			return ^buf[i]
-		}
-		return buf[i]
+	// A descending column is the complement of the ascending encoding.
+	var flip byte
+	if desc {
+		flip = 0xFF
 	}
-	switch get(0) {
+	switch buf[0] ^ flip {
 	case keyTagNull:
-		return Null(), 1, nil
+		return Null(), dst, 1, nil
 	case keyTagNumber:
 		if len(buf) < 9 {
-			return Datum{}, 0, fmt.Errorf("decode key number: short buffer")
+			return Datum{}, dst, 0, fmt.Errorf("decode key number: short buffer")
 		}
-		var tmp [8]byte
-		for i := 0; i < 8; i++ {
-			tmp[i] = get(1 + i)
+		u := binary.BigEndian.Uint64(buf[1:9])
+		if desc {
+			u = ^u
 		}
-		u := binary.BigEndian.Uint64(tmp[:])
 		if k == KindFloat {
 			if u&(1<<63) != 0 {
 				u ^= 1 << 63
 			} else {
 				u = ^u
 			}
-			return Float(math.Float64frombits(u)), 9, nil
+			return Float(math.Float64frombits(u)), dst, 9, nil
 		}
-		d := Datum{K: k, I: int64(u ^ (1 << 63))}
+		i := int64(u ^ (1 << 63))
 		if k == KindBool || k == KindInt || k == KindDate {
-			return d, 9, nil
+			return Datum{K: k, I: i}, dst, 9, nil
 		}
-		return Datum{K: KindInt, I: d.I}, 9, nil
+		return Datum{K: KindInt, I: i}, dst, 9, nil
 	case keyTagString:
-		var out []byte
 		i := 1
 		for {
-			if i >= len(buf) {
-				return Datum{}, 0, fmt.Errorf("decode key string: unterminated")
+			// Copy the run up to the next 0x00 (0xFF descending) whole.
+			j := bytes.IndexByte(buf[i:], flip)
+			if j < 0 {
+				return Datum{}, dst, 0, fmt.Errorf("decode key string: unterminated")
 			}
-			b := get(i)
-			if b == 0x00 {
-				if i+1 >= len(buf) {
-					return Datum{}, 0, fmt.Errorf("decode key string: truncated escape")
+			start := len(dst)
+			dst = append(dst, buf[i:i+j]...)
+			if desc {
+				for x := start; x < len(dst); x++ {
+					dst[x] = ^dst[x]
 				}
-				next := get(i + 1)
-				if next == 0x00 { // terminator
-					return String(string(out)), i + 2, nil
-				}
-				if next == 0xFF { // escaped NUL
-					out = append(out, 0x00)
-					i += 2
-					continue
-				}
-				return Datum{}, 0, fmt.Errorf("decode key string: bad escape %x", next)
 			}
-			out = append(out, b)
-			i++
+			i += j
+			if i+1 >= len(buf) {
+				return Datum{}, dst, 0, fmt.Errorf("decode key string: truncated escape")
+			}
+			switch next := buf[i+1] ^ flip; next {
+			case 0x00: // terminator
+				return Datum{K: KindString}, dst, i + 2, nil
+			case 0xFF: // escaped NUL
+				dst = append(dst, 0x00)
+				i += 2
+			default:
+				return Datum{}, dst, 0, fmt.Errorf("decode key string: bad escape %x", next)
+			}
 		}
 	default:
-		return Datum{}, 0, fmt.Errorf("decode key: unknown tag %x", get(0))
+		return Datum{}, dst, 0, fmt.Errorf("decode key: unknown tag %x", buf[0]^flip)
 	}
 }
 

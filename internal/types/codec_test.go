@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -18,9 +19,9 @@ func TestRowCodecRoundTrip(t *testing.T) {
 	}
 	for _, r := range rows {
 		buf := EncodeRow(nil, r)
-		got, n, err := DecodeRow(buf)
+		got, n, err := decodeRow(buf)
 		if err != nil {
-			t.Fatalf("DecodeRow(%v): %v", r, err)
+			t.Fatalf("decodeRow(%v): %v", r, err)
 		}
 		if n != len(buf) {
 			t.Errorf("DecodeRow consumed %d of %d bytes", n, len(buf))
@@ -41,11 +42,11 @@ func TestRowCodecConcatenated(t *testing.T) {
 	r2 := Row{Int(2), String("y")}
 	buf := EncodeRow(nil, r1)
 	buf = EncodeRow(buf, r2)
-	got1, n, err := DecodeRow(buf)
+	got1, n, err := decodeRow(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, _, err := DecodeRow(buf[n:])
+	got2, _, err := decodeRow(buf[n:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +65,103 @@ func TestDecodeErrors(t *testing.T) {
 	if _, _, err := DecodeDatum([]byte{200}); err == nil {
 		t.Error("unknown kind should fail")
 	}
-	if _, _, err := DecodeRow([]byte{}); err == nil {
+	if _, _, err := decodeRow([]byte{}); err == nil {
 		t.Error("DecodeRow empty should fail")
+	}
+}
+
+// decodeRow decodes one encoded row through a fresh RowSlab.
+func decodeRow(buf []byte) (Row, int, error) {
+	var s RowSlab
+	n, err := s.AppendRow(buf)
+	if err != nil {
+		return nil, 0, err
+	}
+	s.Seal()
+	return s.Datums, n, nil
+}
+
+// TestRowSlabSharesOneArena decodes a key and several rows into one
+// slab: every datum comes back as encoded, the strings are cut from one
+// arena that owns its bytes, and a reused slab leaves the strings an
+// earlier Seal handed out alone.
+func TestRowSlabSharesOneArena(t *testing.T) {
+	rows := []Row{
+		{Int(1), String("abc"), Null(), String("")},
+		{String(string([]byte{0, 'z', 0})), Float(-2.5), MustDate("1996-06-30"), Bool(true)},
+		{},
+		{String("tail")},
+	}
+	key := EncodeKey(nil, []Datum{String("k\x00ey"), Int(-4)}, []bool{true, false})
+	var enc [][]byte
+	for _, r := range rows {
+		enc = append(enc, EncodeRow(nil, r))
+	}
+	var s RowSlab
+	var kept []Datum
+	for pass := 0; pass < 2; pass++ {
+		s.Reset()
+		n, err := s.AppendKey(key, KindString, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.AppendKey(key[n:], KindInt, false); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range enc {
+			used, err := s.AppendRow(b)
+			if err != nil || used != len(b) {
+				t.Fatalf("AppendRow: %d of %d bytes, %v", used, len(b), err)
+			}
+		}
+		s.Seal()
+		for _, b := range enc { // the strings must not alias the input
+			for i := range b {
+				b[i] = 0xFF
+			}
+		}
+		want := []Datum{String("k\x00ey"), Int(-4)}
+		for _, r := range rows {
+			want = append(want, r...)
+		}
+		if len(s.Datums) != len(want) {
+			t.Fatalf("pass %d: %d datums, want %d", pass, len(s.Datums), len(want))
+		}
+		for i := range want {
+			if s.Datums[i] != want[i] {
+				t.Errorf("pass %d datum %d: got %v, want %v", pass, i, s.Datums[i], want[i])
+			}
+		}
+		if pass == 0 {
+			kept = slices.Clone(s.Datums)
+		}
+		for i, r := range rows {
+			enc[i] = EncodeRow(enc[i][:0], r)
+		}
+	}
+	if kept[0].S != "k\x00ey" || kept[3].S != "abc" || kept[len(kept)-1].S != "tail" {
+		t.Errorf("strings kept from the first pass changed: %v", kept)
+	}
+}
+
+// TestDecodeKeyDatumBytesAppends: the unescaped bytes go after what dst
+// already holds, ascending and descending, and a NUL survives the
+// escape.
+func TestDecodeKeyDatumBytesAppends(t *testing.T) {
+	for _, desc := range []bool{false, true} {
+		buf := AppendKeyDatum(nil, String("a\x00\x00b"), desc)
+		d, dst, n, err := DecodeKeyDatumBytes([]byte("pre"), buf, KindString, desc)
+		if err != nil || n != len(buf) || d.K != KindString || d.S != "" {
+			t.Fatalf("desc=%v: %v, %d of %d bytes, %v", desc, d, n, len(buf), err)
+		}
+		if string(dst) != "prea\x00\x00b" {
+			t.Errorf("desc=%v: dst %q", desc, dst)
+		}
+	}
+	for _, buf := range [][]byte{{}, {0x02, 'a'}, {0x02, 'a', 0x00}, {0x02, 0x00, 0x07}, {0x01, 1}, {0x09}} {
+		if _, _, _, err := DecodeKeyDatumBytes(nil, buf, KindString, false); err == nil {
+			t.Errorf("%x decoded", buf)
+		}
 	}
 }
 
@@ -77,12 +173,12 @@ func TestDecodeRowHostileCount(t *testing.T) {
 		append(binary.AppendUvarint(nil, 1<<63+5), 0, 0),
 		{9, 0, 0, 0, 0, 0, 0, 0, 0}, // one datum short
 	} {
-		if _, _, err := DecodeRow(buf); err == nil {
+		if _, _, err := decodeRow(buf); err == nil {
 			t.Errorf("%x decoded", buf)
 		}
 	}
 	// As many NULL datums as the count claims still decode.
-	row, used, err := DecodeRow([]byte{3, 0, 0, 0})
+	row, used, err := decodeRow([]byte{3, 0, 0, 0})
 	if err != nil || len(row) != 3 || used != 4 {
 		t.Errorf("three NULLs: %v, %d bytes, %v", row, used, err)
 	}
