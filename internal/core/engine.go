@@ -215,11 +215,11 @@ func (e *Engine) Run(env *exec.Env, stage *exec.Stage, conf exec.EngineConf) (*e
 				m.PredictiveSpec = true
 			}
 			exec.ApplyStraggler(m, env.Chaos.StragglerDelay(stage.ID, "a", a.Rank()), conf)
-			out, closer, err := exec.BuildTaskOutput(env, stage, a.Rank(), sinks.sink(a.Rank()))
+			out, err := exec.BuildTaskOutput(env, stage, a.Rank(), sinks.sink(a.Rank()))
 			if err != nil {
 				return err
 			}
-			driver, err := exec.NewReduceDriver(env, stage.Reduce, out, m)
+			driver, err := exec.NewReduceDriver(env, stage.Reduce, out.Write, m)
 			if err != nil {
 				return err
 			}
@@ -241,7 +241,7 @@ func (e *Engine) Run(env *exec.Env, stage *exec.Stage, conf exec.EngineConf) (*e
 			if err := driver.Close(); err != nil {
 				return err
 			}
-			return closer()
+			return out.Close()
 		}
 
 		if err := job.Run(oBody, aBody); err != nil {
@@ -406,7 +406,7 @@ func (e *Engine) runMapOnly(env *exec.Env, stage *exec.Stage, conf exec.EngineCo
 				return
 			}
 			exec.ApplyStraggler(taskMetrics[i], env.Chaos.StragglerDelay(stage.ID, "o", i), conf)
-			out, closer, err := exec.BuildTaskOutput(env, stage, i, sinks.sink(i))
+			out, err := exec.BuildTaskOutput(env, stage, i, sinks.sink(i))
 			if err != nil {
 				errs[i] = err
 				return
@@ -416,7 +416,7 @@ func (e *Engine) runMapOnly(env *exec.Env, stage *exec.Stage, conf exec.EngineCo
 				errs[i] = err
 				return
 			}
-			errs[i] = closer()
+			errs[i] = out.Close()
 		}(i, host)
 	}
 	wg.Wait()

@@ -2,6 +2,9 @@ package exec
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"hivempi/internal/dfs"
@@ -94,7 +97,7 @@ func TestBuildTaskOutputSinkAndCollect(t *testing.T) {
 		Collect: true,
 	}
 	var collected []types.Row
-	sink, closer, err := BuildTaskOutput(env, stage, 3, func(r types.Row) error {
+	out, err := BuildTaskOutput(env, stage, 3, func(r types.Row) error {
 		collected = append(collected, r)
 		return nil
 	})
@@ -102,11 +105,11 @@ func TestBuildTaskOutputSinkAndCollect(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := sink(types.Row{types.Int(int64(i))}); err != nil {
+		if err := out.Write(types.Row{types.Int(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := closer(); err != nil {
+	if err := out.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if len(collected) != 5 {
@@ -118,6 +121,75 @@ func TestBuildTaskOutputSinkAndCollect(t *testing.T) {
 	}
 	if len(rows) != 5 {
 		t.Errorf("part file holds %d rows", len(rows))
+	}
+}
+
+// TestMapOnlyTaskWritesAndCollects runs a map-only stage that writes a
+// part file and collects: the collector gets the rows a plain RowSink
+// gets, each its own (appending to one leaves its neighbour alone), and
+// the part file holds the same rows. A nil RowSink on a stage without
+// shuffle keys is no sink at all.
+func TestMapOnlyTaskWritesAndCollects(t *testing.T) {
+	env := testEnv(t)
+	schema := types.NewSchema(types.Col("i", types.KindInt), types.Col("s", types.KindString),
+		types.Col("f", types.KindFloat), types.Col("d", types.KindDate))
+	var rows []types.Row
+	for i := 0; i < 2500; i++ {
+		row := types.Row{types.Int(int64(i)), types.String(fmt.Sprintf("s%d", i%13)),
+			types.Float(float64(i) / 4), types.Date(int64(9000 + i%400))}
+		if i%9 == 0 {
+			row[1], row[2] = types.Null(), types.Null()
+		}
+		rows = append(rows, row)
+	}
+	in := writeTable(t, env, "/src", schema, rows)
+	outSchema := types.NewSchema(types.Col("i10", types.KindInt), types.Col("s", types.KindString),
+		types.Col("f", types.KindFloat), types.Col("d", types.KindDate))
+	stage := &Stage{
+		ID: "m",
+		Maps: []MapWork{{Input: in, Ops: []MapOp{
+			&FilterOp{Cond: &Cmp{Op: CmpGT, L: col(0), R: iLit(6)}},
+			&SelectOp{Exprs: []Expr{&BinOp{OpMul, col(0), iLit(10)}, col(1), col(2), col(3)}},
+		}}},
+		Sink:    &FileSinkSpec{Dir: "/out", Format: storage.FormatORC, Schema: outSchema},
+		Collect: true,
+	}
+	split := wholeSplit(t, env, "/src")
+
+	var want []types.Row
+	plain := RowSink(func(r types.Row) error { want = append(want, r); return nil })
+	if err := RunMapTask(env, EngineConf{}, stage, 0, split, nil, plain, nil); err != nil {
+		t.Fatal(err)
+	}
+	var got []types.Row
+	out, err := BuildTaskOutput(env, stage, 0, func(r types.Row) error { got = append(got, r); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m trace.Task
+	if err := RunMapTask(env, EngineConf{}, stage, 0, split, nil, out, &m); err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+	written, err := storage.ReadAll(env.FS, "/out/part-00000", storage.FormatORC, outSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 2493 || m.OutputRecords != 2493 || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(written, want) {
+		t.Fatalf("%d rows plain, %d collected, %d written, %d counted", len(want), len(got), len(written), m.OutputRecords)
+	}
+	keep := got[1].Clone()
+	_ = append(got[0], types.Int(-1))
+	if !reflect.DeepEqual(got[1], keep) {
+		t.Errorf("appending to a collected row changed the next: %v, want %v", got[1], keep)
+	}
+
+	var none RowSink
+	if err := RunMapTask(env, EngineConf{}, stage, 0, split, nil, none, nil); err == nil ||
+		!strings.Contains(err.Error(), "neither shuffle nor sink") {
+		t.Errorf("a nil RowSink: err %v", err)
 	}
 }
 

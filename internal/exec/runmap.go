@@ -84,8 +84,27 @@ func ApplyStraggler(m *trace.Task, delaySec float64, conf EngineConf) {
 	m.StragglerDelaySec += delaySec
 }
 
-// RowSink consumes one produced row.
+// RowSink consumes one produced row. It may keep the row.
 type RowSink func(types.Row) error
+
+// WriteBatch hands b's rows to s one at a time, cut from one fresh
+// slab, so s may keep them.
+func (s RowSink) WriteBatch(b *vec.Batch) error {
+	rows := vec.Materialize(b)
+	for lane := 0; lane < b.N; lane++ {
+		if err := s(rows.Row(lane)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// MapSink takes a map-only task's output a batch at a time. The batch
+// is valid only during the call: an implementation that keeps rows
+// materializes them (RowSink's WriteBatch does).
+type MapSink interface {
+	WriteBatch(b *vec.Batch) error
+}
 
 // KVEmit sends one shuffle pair (the engine wires this to Hadoop's
 // collector or DataMPI's MPI_D_Send). key and value are valid only
@@ -511,11 +530,14 @@ func newPartialAgg(op *GroupByPartialOp, next batchSink) (batchSink, func() erro
 }
 
 // RunMapTask executes one map-side task: batch-scan the split, run the
-// op chain and either emit shuffle pairs (Keys set) or hand rows to
+// op chain and either emit shuffle pairs (Keys set) or hand batches to
 // out. It fills the task's trace record with input/output counters.
 func RunMapTask(env *Env, conf EngineConf, stage *Stage, mapIdx int, split dfs.Split,
-	emit KVEmit, out RowSink, metrics *trace.Task) error {
+	emit KVEmit, out MapSink, metrics *trace.Task) error {
 	mw := &stage.Maps[mapIdx]
+	if rs, ok := out.(RowSink); ok && rs == nil {
+		out = nil // a nil RowSink, which shuffle stages may pass
+	}
 
 	var terminal batchSink
 	switch {
@@ -557,16 +579,10 @@ func RunMapTask(env *Env, conf EngineConf, stage *Stage, mapIdx int, split dfs.S
 		}
 	case out != nil:
 		terminal = func(b *vec.Batch) error {
-			rows := vec.Materialize(b)
-			for lane := 0; lane < b.N; lane++ {
-				if metrics != nil {
-					metrics.OutputRecords++
-				}
-				if err := out(rows.Row(lane)); err != nil {
-					return err
-				}
+			if metrics != nil {
+				metrics.OutputRecords += int64(b.N)
 			}
-			return nil
+			return out.WriteBatch(b)
 		}
 	default:
 		return fmt.Errorf("exec: map task %s/%d has neither shuffle nor sink", stage.ID, mapIdx)

@@ -372,6 +372,56 @@ func TestInsertOverwriteAndCTAS(t *testing.T) {
 	}
 }
 
+// TestCTASStoresTheValuesItWasGiven reads back CTAS copies whose
+// column kinds the values do not always match. if() is typed by its
+// THEN/ELSE values, so its bigint values round-trip; an int bound for a
+// double column is widened; a double bound for a bigint column fails
+// the statement instead of being stored as something else.
+func TestCTASStoresTheValuesItWasGiven(t *testing.T) {
+	var ifSum, widenSum float64
+	for i := 0; i < 600; i++ {
+		qty, amount := float64(i%7), float64(i%50)+0.5
+		if qty > 3 {
+			ifSum += qty
+			widenSum += amount
+		} else {
+			widenSum += qty
+		}
+	}
+	for _, format := range []string{"orc", "textfile"} {
+		t.Run(format, func(t *testing.T) {
+			d := newTestDriver(t, core.New())
+			seedSales(t, d)
+			for _, tc := range []struct {
+				sel  string
+				kind types.Kind
+				sum  float64
+			}{
+				{"if(qty > 3, qty, 0)", types.KindInt, ifSum},
+				{"CASE WHEN qty > 3 THEN amount ELSE qty END", types.KindFloat, widenSum},
+			} {
+				if _, err := d.Run(fmt.Sprintf(`DROP TABLE IF EXISTS zz;
+					CREATE TABLE zz STORED AS %s AS SELECT %s AS c FROM sales`, format, tc.sel)); err != nil {
+					t.Fatalf("%s: %v", tc.sel, err)
+				}
+				if res := query(t, d, "SELECT c FROM zz LIMIT 1"); res.Schema.Columns[0].Type != tc.kind {
+					t.Errorf("%s: column c is %v, want %v", tc.sel, res.Schema.Columns[0].Type, tc.kind)
+				}
+				res := query(t, d, "SELECT sum(c), count(*) FROM zz")
+				if got := res.Rows[0][0].Float(); got != tc.sum || res.Rows[0][1].Int() != 600 {
+					t.Errorf("%s: sum(c) = %v over %v rows, want %v over 600", tc.sel, got, res.Rows[0][1], tc.sum)
+				}
+			}
+			_, err := d.Run(fmt.Sprintf(`DROP TABLE IF EXISTS zz;
+				CREATE TABLE zz STORED AS %s AS
+					SELECT CASE WHEN qty > 3 THEN qty ELSE amount END AS c FROM sales WHERE qty = 1`, format))
+			if err == nil || !strings.Contains(err.Error(), "column c is bigint, got double") {
+				t.Errorf("a double bound for a bigint column: err = %v", err)
+			}
+		})
+	}
+}
+
 func TestDropTable(t *testing.T) {
 	d := newTestDriver(t, core.New())
 	seedSales(t, d)

@@ -267,7 +267,12 @@ func funcKind(name string, args []types.Kind) types.Kind {
 		return types.KindFloat
 	case "to_date", "date_add":
 		return types.KindDate
-	case "abs", "if", "coalesce":
+	case "if":
+		if len(args) > 0 {
+			args = args[1:] // typed by its THEN and ELSE values, not its condition
+		}
+		fallthrough
+	case "abs", "coalesce":
 		for _, k := range args {
 			if k != types.KindNull {
 				return k

@@ -88,14 +88,14 @@ func (e *Engine) Run(env *exec.Env, stage *exec.Stage, conf exec.EngineConf) (*e
 		}
 		exec.ApplyStraggler(m.Metrics(), env.Chaos.StragglerDelay(stage.ID, "map", m.TaskID()), conf)
 		if stage.Shuffle == nil {
-			out, closer, err := exec.BuildTaskOutput(env, stage, m.TaskID(), collect)
+			out, err := exec.BuildTaskOutput(env, stage, m.TaskID(), collect)
 			if err != nil {
 				return err
 			}
 			if err := exec.RunMapTask(env, conf, stage, t.MapIdx, t.Split, nil, out, m.Metrics()); err != nil {
 				return err
 			}
-			return closer()
+			return out.Close()
 		}
 		return exec.RunMapTask(env, conf, stage, t.MapIdx, t.Split, m.Emit, nil, m.Metrics())
 	}
@@ -110,11 +110,11 @@ func (e *Engine) Run(env *exec.Env, stage *exec.Stage, conf exec.EngineConf) (*e
 				r.Metrics().PredictiveSpec = true
 			}
 			exec.ApplyStraggler(r.Metrics(), env.Chaos.StragglerDelay(stage.ID, "reduce", r.TaskID()), conf)
-			out, closer, err := exec.BuildTaskOutput(env, stage, r.TaskID(), collect)
+			out, err := exec.BuildTaskOutput(env, stage, r.TaskID(), collect)
 			if err != nil {
 				return err
 			}
-			driver, err := exec.NewReduceDriver(env, stage.Reduce, out, r.Metrics())
+			driver, err := exec.NewReduceDriver(env, stage.Reduce, out.Write, r.Metrics())
 			if err != nil {
 				return err
 			}
@@ -136,7 +136,7 @@ func (e *Engine) Run(env *exec.Env, stage *exec.Stage, conf exec.EngineConf) (*e
 			if err := driver.Close(); err != nil {
 				return err
 			}
-			return closer()
+			return out.Close()
 		}
 	}
 

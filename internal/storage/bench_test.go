@@ -133,6 +133,51 @@ func BenchmarkTextWrite(b *testing.B) {
 	benchWrite(b, func() RowWriter { return newTextWriter(discardCloser{io.Discard}, testSchema()) })
 }
 
+// benchWriteBatch writes benchWrite's rows as the map side hands them
+// to a table writer: in batches of vec.DefaultSize typed vectors.
+func benchWriteBatch(b *testing.B, open func() RowWriter) {
+	schema := testSchema()
+	rows := testRows(20000)
+	var batches []*vec.Batch
+	for lo := 0; lo < len(rows); lo += vec.DefaultSize {
+		chunk := rows[lo:min(lo+vec.DefaultSize, len(rows))]
+		bt := vec.NewBatch(schema.Len(), len(chunk))
+		for ci, v := range bt.Cols {
+			v.Reset(schema.Columns[ci].Type, len(chunk))
+			for lane, row := range chunk {
+				v.SetDatum(lane, row[ci])
+			}
+		}
+		bt.N = len(chunk)
+		batches = append(batches, bt)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := open()
+		for _, bt := range batches {
+			if err := w.WriteBatch(bt); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkORCWriteBatch is BenchmarkORCWrite through WriteBatch.
+func BenchmarkORCWriteBatch(b *testing.B) {
+	benchWriteBatch(b, func() RowWriter {
+		return newORCWriter(discardCloser{io.Discard}, testSchema(), ORCOptions{StripeBytes: 64 << 10})
+	})
+}
+
+// BenchmarkTextWriteBatch is BenchmarkTextWrite through WriteBatch.
+func BenchmarkTextWriteBatch(b *testing.B) {
+	benchWriteBatch(b, func() RowWriter { return newTextWriter(discardCloser{io.Discard}, testSchema()) })
+}
+
 // BenchmarkORCOpenSplits opens and drains every one-stripe split of a
 // file of at least 64 stripes: each open reads the whole footer, so
 // footer work grows as stripes x splits.

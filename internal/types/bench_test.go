@@ -14,3 +14,14 @@ func BenchmarkDecodeKeyString(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAppendDate renders a date's text form, per lineitem row
+// three times over in a Text copy of the table.
+func BenchmarkAppendDate(b *testing.B) {
+	var buf []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = Date(int64(8000 + i%2500)).AppendText(buf[:0])
+	}
+}

@@ -154,8 +154,36 @@ func (d Datum) DateString() string {
 
 const dateLayout = "2006-01-02"
 
+// The days of 0001-01-01 and 9999-12-31, the range appendDate renders
+// by arithmetic.
+const (
+	minISODay = -719162
+	maxISODay = 2932896
+)
+
+// appendDate renders the date as time.Format does with dateLayout. The
+// years 0001-9999 take the civil-from-days arithmetic (counting years
+// from March, so the leap day falls last); the rest go through time.
 func (d Datum) appendDate(dst []byte) []byte {
-	return time.Unix(d.I*86400, 0).UTC().AppendFormat(dst, dateLayout)
+	if d.I < minISODay || d.I > maxISODay {
+		return time.Unix(d.I*86400, 0).UTC().AppendFormat(dst, dateLayout)
+	}
+	z := d.I + 719468 // days since 0000-03-01, > 0 in range
+	era, doe := z/146097, z%146097
+	yoe := (doe - doe/1460 + doe/36524 - doe/146096) / 365
+	doy := doe - (365*yoe + yoe/4 - yoe/100)
+	mp := (5*doy + 2) / 153
+	day := doy - (153*mp+2)/5 + 1
+	month := mp + 3
+	year := era*400 + yoe
+	if month > 12 {
+		month -= 12
+		year++
+	}
+	return append(dst,
+		byte('0'+year/1000), byte('0'+year/100%10), byte('0'+year/10%10), byte('0'+year%10), '-',
+		byte('0'+month/10), byte('0'+month%10), '-',
+		byte('0'+day/10), byte('0'+day%10))
 }
 
 // Text renders the datum the way Hive's text serde would.

@@ -1,10 +1,12 @@
 package types
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestKindString(t *testing.T) {
@@ -70,6 +72,19 @@ func TestDateRoundTrip(t *testing.T) {
 	}
 	if _, err := DateFromString("not-a-date"); err == nil {
 		t.Error("DateFromString should reject garbage")
+	}
+}
+
+// TestAppendDateMatchesTimeFormat renders every day of the years
+// 0001-9999, and a stretch of days on either side, both ways.
+func TestAppendDateMatchesTimeFormat(t *testing.T) {
+	var got, want []byte
+	for day := int64(minISODay - 800); day <= maxISODay+800; day++ {
+		got = Date(day).AppendText(got[:0])
+		want = time.Unix(day*86400, 0).UTC().AppendFormat(want[:0], dateLayout)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("day %d: %q, time.Format gives %q", day, got, want)
+		}
 	}
 }
 
