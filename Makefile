@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint sarif check bench benchdiff obscheck trace comm soak bundles e2e
+.PHONY: build test race vet fmt lint sarif check bench benchdiff obscheck trace comm soak bundles e2e fuzz
 
 build:
 	$(GO) build ./...
@@ -57,9 +57,18 @@ soak:
 		-run 'TestNodeLossSoak|TestChaosSoak' ./internal/refexec/ \
 		| tee soak.log
 
-# bench runs the shuffle hot-path microbenchmarks (kvio framing, merge
-# and run reader, MPI_D_Send, dfs memory tier, the Hadoop map-output
-# and reduce-input paths) and writes the parsed numbers to
+# fuzz runs each native fuzz target for FUZZTIME, starting from its
+# committed seed corpus (testdata/fuzz/<target>): the parsers of
+# shuffle bytes, WireSource and Run.AppendBlock (CountPairs is checked
+# inside both). `go test` alone replays the seeds as ordinary tests.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzWireSource$$' -fuzztime $(FUZZTIME) ./internal/kvio/
+	$(GO) test -run '^$$' -fuzz '^FuzzRunAppendBlock$$' -fuzztime $(FUZZTIME) ./internal/kvio/
+
+# bench runs the shuffle hot-path microbenchmarks (kvio framing, sort
+# and merge, MPI_D_Send, dfs memory tier, the Hadoop map-output and
+# reduce-input paths) and writes the parsed numbers to
 # BENCH_shuffle.json.
 # Each benchmark runs BENCH_COUNT times and benchfmt keeps the fastest
 # run, which damps scheduler/noisy-neighbour interference in the

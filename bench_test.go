@@ -13,7 +13,6 @@ package hivempi_test
 // full tables.
 
 import (
-	"os"
 	"testing"
 
 	"hivempi/internal/bench"
@@ -21,14 +20,7 @@ import (
 
 func newRunner(b *testing.B) *bench.Runner {
 	b.Helper()
-	cfg := bench.QuickConfig()
-	dir, err := os.MkdirTemp("", "hivempi-bench-*")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { os.RemoveAll(dir) })
-	cfg.SpillDir = dir
-	return bench.NewRunner(cfg)
+	return bench.NewRunner(bench.QuickConfig())
 }
 
 func BenchmarkTableI(b *testing.B) {

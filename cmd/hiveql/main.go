@@ -94,7 +94,6 @@ func run(args []string) error {
 			"slave5", "slave6", "slave7"},
 	})}
 	conf := exec.DefaultEngineConf()
-	conf.SpillDir = os.TempDir()
 	d := hive.NewDriver(env, engine, conf)
 	d.AdaptiveSkew = *adaptive
 	d.MapJoinThresholdBytes = *mapJoinThreshold

@@ -5,7 +5,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 
 	"hivempi/internal/core"
 	"hivempi/internal/dfs"
@@ -30,7 +29,6 @@ func run() error {
 			"slave5", "slave6", "slave7"},
 	})}
 	conf := exec.DefaultEngineConf()
-	conf.SpillDir = os.TempDir()
 
 	for _, engine := range []exec.Engine{core.New(), mrengine.New()} {
 		d := hive.NewDriver(env, engine, conf)

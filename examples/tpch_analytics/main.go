@@ -7,7 +7,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 
 	"hivempi/internal/core"
 	"hivempi/internal/dfs"
@@ -31,7 +30,6 @@ func newDriver(engine exec.Engine, format string) (*hive.Driver, error) {
 			"slave5", "slave6", "slave7"},
 	})}
 	conf := exec.DefaultEngineConf()
-	conf.SpillDir = os.TempDir()
 	conf.Parallelism = exec.ParallelismEnhanced
 	d := hive.NewDriver(env, engine, conf)
 	// "10 GB" at 1:1000 scale = SF 0.01.

@@ -8,7 +8,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 
 	"hivempi/internal/core"
 	"hivempi/internal/dfs"
@@ -31,7 +30,6 @@ func newDriver(nonBlocking bool) (*hive.Driver, error) {
 			"slave5", "slave6", "slave7"},
 	})}
 	conf := exec.DefaultEngineConf()
-	conf.SpillDir = os.TempDir()
 	conf.NonBlocking = nonBlocking
 	d := hive.NewDriver(env, core.New(), conf)
 	d.MapJoinThresholdBytes = 1 // common join, as at paper scale

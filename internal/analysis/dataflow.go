@@ -38,7 +38,7 @@ import (
 //     add their arguments' order to it, Sort clears it, and Entries,
 //     Source and the pair accessors hand it on.
 //   - SINKS: order-sensitive emission points — the kvio encoders
-//     (AppendKV, Run.Write/WriteKV), the shuffle send path (OContext.Send),
+//     (AppendKV, Run.AppendWire/AppendWireKV), the shuffle send path (OContext.Send),
 //     the comm_report/Chrome-trace writers, io/bufio/bytes/strings
 //     writers, and fmt print output. Order-tainted data reaching a
 //     sink is a finding. The loop variables of an unordered range are
@@ -987,7 +987,7 @@ func (w *flowWalker) sinkCall(callee *types.Func) (string, bool) {
 		}
 	}
 	switch {
-	case isMethodOn(callee, mod+"/internal/kvio", "Run") && (name == "Write" || name == "WriteKV"):
+	case isMethodOn(callee, mod+"/internal/kvio", "Run") && (name == "AppendWire" || name == "AppendWireKV"):
 		return "the kvio run writer", true
 	case isMethodOn(callee, mod+"/internal/datampi", "OContext") && name == "Send":
 		return "the shuffle send path (OContext.Send)", true

@@ -116,9 +116,9 @@ func badSelectArrival(a, b <-chan string, out *bytes.Buffer) {
 }
 
 // An A-side receive loop that spills its cache in arrival order: the
-// run file's bytes depend on which sender was first.
+// spill run's bytes depend on which sender was first.
 func badRecvRunUnsorted(a, b <-chan []byte) {
-	var run kvio.Run
+	var run, spill kvio.Run
 	for i := 0; i < 4; i++ {
 		var blk []byte
 		select {
@@ -128,14 +128,14 @@ func badRecvRunUnsorted(a, b <-chan []byte) {
 		run.AppendBlock(blk)
 	}
 	for _, e := range run.Entries() {
-		run.Write(run.Wire(e)) // want "the kvio run writer receives data whose order derives from select arrival order"
+		spill.AppendWire(run.Wire(e)) // want "the kvio run writer receives data whose order derives from select arrival order"
 	}
 }
 
 // The same loop with the run sorted by its content before the spill:
 // no finding.
 func okRecvRunSorted(a, b <-chan []byte) {
-	var run kvio.Run
+	var run, spill kvio.Run
 	for i := 0; i < 4; i++ {
 		var blk []byte
 		select {
@@ -146,7 +146,7 @@ func okRecvRunSorted(a, b <-chan []byte) {
 	}
 	run.Sort(run.ByKeyValue)
 	for _, e := range run.Entries() {
-		run.Write(run.Wire(e))
+		spill.AppendWire(run.Wire(e))
 	}
 }
 

@@ -15,12 +15,11 @@ func AppendKV(dst, k, v []byte) []byte {
 func Sort(kvs []KV) {}
 
 // Run is the in-memory sorted run: appends carry order into it, Sort
-// canonicalizes it, and its writer is the run writer (order-sensitive
-// sink).
+// canonicalizes it, and its unindexed appends are the run writer
+// (order-sensitive sink).
 type Run struct {
 	arena []byte
 	index []RunEntry
-	out   []byte
 }
 
 // RunEntry locates one pair in the arena.
@@ -41,7 +40,5 @@ func (r *Run) Entries() []RunEntry { return r.index }
 // Wire cuts one pair's bytes out of the arena.
 func (r *Run) Wire(e RunEntry) []byte { return r.arena[e.off : e.off+e.n] }
 
-func (r *Run) Write(p []byte) error {
-	r.out = append(r.out, p...)
-	return nil
-}
+// AppendWire copies wire bytes onto the arena without indexing them.
+func (r *Run) AppendWire(p []byte) { r.arena = append(r.arena, p...) }

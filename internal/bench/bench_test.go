@@ -8,7 +8,6 @@ import (
 func quickRunner(t *testing.T) *Runner {
 	t.Helper()
 	cfg := QuickConfig()
-	cfg.SpillDir = t.TempDir()
 	return NewRunner(cfg)
 }
 

@@ -189,7 +189,6 @@ func (r *Runner) Figure2() (*Figure2Result, error) {
 	// (b): TeraSort with a comparable record volume.
 	conf := exec.DefaultEngineConf()
 	conf.Slaves = slaves
-	conf.SpillDir = r.cfg.SpillDir
 	nRecords := int(20 * r.cfg.BytesPerGB / hibench.TeraRecordSize)
 	numMaps := len(sim.Producers)
 	if numMaps < 1 {

@@ -65,7 +65,7 @@ func TestEmittersCopyPairs(t *testing.T) {
 		"OContext.Send": func() ([]string, error) {
 			// Tiny blocks so the pairs cross many flushes.
 			job, err := datampi.NewJob(datampi.Config{NumO: 1, NumA: 2, SendBufferBytes: 256,
-				NonBlocking: true, SpillDir: t.TempDir()})
+				NonBlocking: true})
 			if err != nil {
 				return nil, err
 			}
@@ -75,8 +75,7 @@ func TestEmittersCopyPairs(t *testing.T) {
 			return got, err
 		},
 		"MapContext.Emit": func() ([]string, error) {
-			job, err := hadoop.NewJob(hadoop.Config{NumMaps: 1, NumReduces: 2, SortBufferBytes: 1024,
-				SpillDir: t.TempDir()})
+			job, err := hadoop.NewJob(hadoop.Config{NumMaps: 1, NumReduces: 2, SortBufferBytes: 1024})
 			if err != nil {
 				return nil, err
 			}

@@ -135,7 +135,6 @@ func (e *Engine) Run(env *exec.Env, stage *exec.Stage, conf exec.EngineConf) (*e
 			MemUsedPercent:  conf.MemUsedPercent,
 			TaskMemoryBytes: conf.TaskMemoryBytes,
 			NonBlocking:     conf.NonBlocking,
-			SpillDir:        conf.SpillDir,
 			Hosts:           hosts,
 			Chaos:           env.Chaos,
 			Metrics:         env.Metrics,

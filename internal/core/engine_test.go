@@ -22,7 +22,6 @@ func testEnv() *exec.Env {
 
 func testConf(t *testing.T) exec.EngineConf {
 	conf := exec.DefaultEngineConf()
-	conf.SpillDir = t.TempDir()
 	conf.Slaves = []string{"slave1", "slave2", "slave3"}
 	conf.SlotsPerNode = 2
 	return conf

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"reflect"
 	"strconv"
 	"sync"
@@ -78,7 +77,7 @@ func refAReceive(blocks [][]byte, budget int64) (spills [][]byte, stream []byte,
 		sources = append(sources, &kvio.SliceSource{KVs: cache})
 	}
 	for _, run := range spills {
-		sources = append(sources, kvio.NewReader(bytes.NewReader(run)))
+		sources = append(sources, &kvio.WireSource{Buf: run})
 	}
 	m, err := kvio.NewMerge(sources)
 	if err != nil {
@@ -196,8 +195,9 @@ func TestARunMatchesReference(t *testing.T) {
 			for _, nonBlocking := range []bool{true, false} {
 				name := fmt.Sprintf("%s/%s/non-blocking=%v", sh.name, spills.name, nonBlocking)
 				t.Run(name, func(t *testing.T) {
+					runs := kvio.RunsOutstanding()
 					cfg := Config{NumO: 1, NumA: 2, NonBlocking: nonBlocking, SendBufferBytes: 2 << 10,
-						MemUsedPercent: 0.5, TaskMemoryBytes: int64(2 * spills.budget), SpillDir: t.TempDir()}
+						MemUsedPercent: 0.5, TaskMemoryBytes: int64(2 * spills.budget)}
 					job, err := NewJob(cfg)
 					if err != nil {
 						t.Fatal(err)
@@ -219,12 +219,10 @@ func TestARunMatchesReference(t *testing.T) {
 						return nil
 					}, func(a *AContext) error {
 						var runs [][]byte
-						for _, f := range a.spills {
-							data, err := os.ReadFile(f.Name())
-							if err != nil {
-								return err
-							}
-							runs = append(runs, data)
+						for _, run := range a.spills {
+							// Copied: the run goes back to the pool when
+							// the body returns.
+							runs = append(runs, bytes.Clone(run.Bytes()))
 						}
 						stream, err := groupStream(a.NextGroup)
 						mu.Lock()
@@ -261,7 +259,7 @@ func TestARunMatchesReference(t *testing.T) {
 						spills.name == "many spills" && spilled < 4:
 						t.Errorf("%d spills over %d A tasks does not exercise %q", spilled, cfg.NumA, spills.name)
 					}
-					checkDirEmpty(t, cfg.SpillDir)
+					checkRunsReturned(t, runs)
 				})
 			}
 		}
@@ -316,8 +314,9 @@ func TestAModelInputsPinned(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			runs := kvio.RunsOutstanding()
 			cfg := Config{NumO: 1, NumA: 2, NonBlocking: !c.blocking, SendBufferBytes: 512,
-				TaskMemoryBytes: c.memory, SpillDir: t.TempDir()}
+				TaskMemoryBytes: c.memory}
 			if c.combine {
 				cfg.Combiner = sum
 			}
@@ -344,7 +343,7 @@ func TestAModelInputsPinned(t *testing.T) {
 			if !reflect.DeepEqual(got, c.want) {
 				t.Errorf("SpillCount, SpillBytes, MemoryCacheBytes, SortedBytes, MergeRuns, ShuffleInBytes, ShuffleInPairs, RecvRounds =\n%v, recorded\n%v", got, c.want)
 			}
-			checkDirEmpty(t, cfg.SpillDir)
+			checkRunsReturned(t, runs)
 		})
 	}
 }
@@ -352,7 +351,7 @@ func TestAModelInputsPinned(t *testing.T) {
 // TestAHostileBlockFailsTask: a data message whose framing is damaged
 // fails the A task with the error text the decoder has always given,
 // after the task had already cached (and spilled) good blocks, and
-// leaves nothing behind in SpillDir.
+// returns every sorted run to the pool.
 func TestAHostileBlockFailsTask(t *testing.T) {
 	defer leakcheck.Check(t)()
 	cases := []struct {
@@ -367,9 +366,8 @@ func TestAHostileBlockFailsTask(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			dir := t.TempDir()
 			job, err := NewJob(Config{NumO: 1, NumA: 1, NonBlocking: true, SendBufferBytes: 256,
-				TaskMemoryBytes: 1 << 10, SpillDir: dir})
+				TaskMemoryBytes: 1 << 10})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -385,18 +383,14 @@ func TestAHostileBlockFailsTask(t *testing.T) {
 			if err == nil || err.Error() != c.want {
 				t.Errorf("job ended with %v, want %s", err, c.want)
 			}
-			if n := kvio.RunsOutstanding() - runs; n != 0 {
-				t.Errorf("%d sorted runs not returned to the pool", n)
-			}
-			checkDirEmpty(t, dir)
+			checkRunsReturned(t, runs)
 		})
 	}
 }
 
 // TestASpillDirEmptyAfterFailedJob: whichever side fails, and whether
-// the A tasks had spilled or not, no spill run survives the job and
-// every sorted run (the A tasks' caches, the combiner's) is back in the
-// pool.
+// the A tasks had spilled or not, every sorted run (the A tasks'
+// caches and spills, the combiner's) is back in the pool.
 func TestASpillDirEmptyAfterFailedJob(t *testing.T) {
 	defer leakcheck.Check(t)()
 	boom := errors.New("boom")
@@ -447,9 +441,8 @@ func TestASpillDirEmptyAfterFailedJob(t *testing.T) {
 	for _, c := range cases {
 		for _, nonBlocking := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%s/non-blocking=%v", c.name, nonBlocking), func(t *testing.T) {
-				dir := t.TempDir()
 				job, err := NewJob(Config{NumO: 3, NumA: 2, NonBlocking: nonBlocking, SendBufferBytes: 256,
-					TaskMemoryBytes: c.memory, Combiner: c.combine, SpillDir: dir,
+					TaskMemoryBytes: c.memory, Combiner: c.combine,
 					Partitioner: func(key []byte, n int) int {
 						if string(key) == "misrouted" {
 							return n
@@ -465,22 +458,17 @@ func TestASpillDirEmptyAfterFailedJob(t *testing.T) {
 				} else if err == nil {
 					t.Error("job succeeded")
 				}
-				if n := kvio.RunsOutstanding() - runs; n != 0 {
-					t.Errorf("%d sorted runs not returned to the pool", n)
-				}
-				checkDirEmpty(t, dir)
+				checkRunsReturned(t, runs)
 			})
 		}
 	}
 }
 
-func checkDirEmpty(t *testing.T, dir string) {
+// checkRunsReturned fails the test unless every sorted run taken since
+// kvio.RunsOutstanding read before is back in the pool.
+func checkRunsReturned(t *testing.T, before int64) {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		t.Errorf("left behind in SpillDir: %s", e.Name())
+	if n := kvio.RunsOutstanding() - before; n != 0 {
+		t.Errorf("%d sorted runs not returned to the pool", n)
 	}
 }

@@ -2,8 +2,6 @@ package datampi
 
 import (
 	"fmt"
-	"io"
-	"os"
 
 	"hivempi/internal/kvio"
 	"hivempi/internal/mpi"
@@ -22,7 +20,7 @@ type AContext struct {
 	// pooled arena plus an index that each spill sorts and then empties.
 	cache     *kvio.Run
 	peakCache int64
-	spills    []*os.File
+	spills    []*kvio.Run // sorted copies of the cache, in spill order
 
 	groups  *kvio.Grouper // over the merge of the cache and every spill run
 	metrics *trace.Task
@@ -52,8 +50,7 @@ func (a *AContext) memBudget() int64 {
 // receiveAll runs this task's receive loop until every O task has sent
 // its done control message. Data messages are appended to the memory
 // cache as they stand; when the cache exceeds the budget a sorted run is
-// spilled to local disk, mirroring DataMPI's threshold-triggered merging
-// threads.
+// spilled, mirroring DataMPI's threshold-triggered merging threads.
 func (a *AContext) receiveAll() error {
 	me := a.job.commA.WorldRank(a.rank)
 	doneCount := 0
@@ -77,9 +74,7 @@ func (a *AContext) receiveAll() error {
 			cacheBytes := int64(a.cache.Size())
 			a.peakCache = max(a.peakCache, cacheBytes)
 			if cacheBytes > a.memBudget() {
-				if err := a.spill(); err != nil {
-					return err
-				}
+				a.spill()
 			}
 			if !a.job.cfg.NonBlocking {
 				// Blocking style: acknowledge so the sender's Waitall
@@ -96,39 +91,32 @@ func (a *AContext) receiveAll() error {
 	return nil
 }
 
-// spill sorts the cache and writes it to a local-disk run file.
-func (a *AContext) spill() error {
+// spill sorts the cache and copies it, in index order, into a spill run
+// reserved to the cache's size, then empties the cache. The spill is
+// charged as disk by the model (SpillCount, SpillBytes); the run itself
+// stays in memory.
+func (a *AContext) spill() {
 	c := a.cache
 	if c.Len() == 0 {
-		return nil
+		return
 	}
 	c.Sort(c.ByKeyValue)
-	f, err := kvio.CreateRunFile(a.job.cfg.SpillDir, "datampi-spill-*.run")
-	if err != nil {
-		return fmt.Errorf("datampi: create spill: %w", err)
-	}
-	// Listed before it is written, so cleanup discards it whatever fails.
-	a.spills = append(a.spills, f)
-	c.Begin(f)
+	run := kvio.GetRun()
+	run.Reserve(c.Size())
 	for _, e := range c.Entries() {
 		p := c.Wire(e)
-		if err := c.Write(p); err != nil {
-			return fmt.Errorf("datampi: write spill: %w", err)
-		}
+		run.AppendWire(p)
 		a.job.histRunWrite.Observe(int64(len(p)))
 	}
-	if err := c.Flush(); err != nil {
-		return fmt.Errorf("datampi: flush spill: %w", err)
-	}
+	a.spills = append(a.spills, run)
 	a.metrics.SpillCount++
-	a.metrics.SpillBytes += c.Written()
+	a.metrics.SpillBytes += int64(run.Size())
 	a.job.ctrSpillPairs.Add(int64(c.Len()))
 	c.Reset()
-	return nil
 }
 
 // prepareIterator sorts the residual cache and builds the k-way merge
-// over the in-memory run plus every spill run.
+// over the in-memory cache first, then every spill run in spill order.
 func (a *AContext) prepareIterator() error {
 	c := a.cache
 	c.Sort(c.ByKeyValue)
@@ -137,11 +125,8 @@ func (a *AContext) prepareIterator() error {
 	if c.Len() > 0 {
 		sources = append(sources, c.Source())
 	}
-	for _, f := range a.spills {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return fmt.Errorf("datampi: rewind spill: %w", err)
-		}
-		sources = append(sources, kvio.NewReader(f))
+	for _, run := range a.spills {
+		sources = append(sources, &kvio.WireSource{Buf: run.Bytes()})
 	}
 	a.metrics.MergeRuns = int64(len(sources))
 	m, err := kvio.NewMerge(sources)
@@ -163,11 +148,11 @@ func (a *AContext) NextGroup() ([]byte, [][]byte, error) {
 	return k, vs, err
 }
 
-// cleanup removes spill runs and returns the cache to the pool. Every
-// pair the body was handed is dead by now.
+// cleanup returns the spill runs and the cache to the pool. Every pair
+// the body was handed is dead by now.
 func (a *AContext) cleanup() {
-	for _, f := range a.spills {
-		kvio.DiscardRunFile(f)
+	for _, run := range a.spills {
+		run.Release()
 	}
 	a.spills = nil
 	a.groups = nil

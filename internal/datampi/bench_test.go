@@ -40,17 +40,16 @@ func benchSend(b *testing.B, cfg Config) {
 }
 
 func BenchmarkSendBlocking(b *testing.B) {
-	benchSend(b, Config{NonBlocking: false, SpillDir: b.TempDir()})
+	benchSend(b, Config{NonBlocking: false})
 }
 
 func BenchmarkSendNonBlocking(b *testing.B) {
-	benchSend(b, Config{NonBlocking: true, SpillDir: b.TempDir()})
+	benchSend(b, Config{NonBlocking: true})
 }
 
 func BenchmarkSendNonBlockingCombiner(b *testing.B) {
 	benchSend(b, Config{
 		NonBlocking: true,
-		SpillDir:    b.TempDir(),
 		Combiner: func(key []byte, vals [][]byte) [][]byte {
 			return vals[:1]
 		},
@@ -63,10 +62,9 @@ func BenchmarkSendNonBlockingCombiner(b *testing.B) {
 // List blocks outweighs what it pays to fill them. The BenchmarkSend*
 // above run one long-lived task and cannot see that cost.
 func BenchmarkShortOTask(b *testing.B) {
-	dir := b.TempDir()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		job, err := NewJob(Config{NumO: 1, NumA: 8, NonBlocking: true, SpillDir: dir})
+		job, err := NewJob(Config{NumO: 1, NumA: 8, NonBlocking: true})
 		if err != nil {
 			b.Fatal(err)
 		}

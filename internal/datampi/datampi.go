@@ -16,14 +16,14 @@
 //     queue drained by a dedicated communication goroutine;
 //   - A-side receiver threads that cache intermediate data in memory up
 //     to a configurable fraction of the task heap and spill sorted runs
-//     to local disk beyond it, then merge-sort all runs into the grouped
-//     iterator handed to the aggregator body.
+//     beyond it (in memory; the model charges them as disk), then
+//     merge-sort all runs into the grouped iterator handed to the
+//     aggregator body.
 package datampi
 
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 
 	"hivempi/internal/chaos"
@@ -78,8 +78,11 @@ type Config struct {
 	SendQueueSize   int     // hive.datampi.sendqueue
 	MemUsedPercent  float64 // hive.datampi.memusedpercent
 	TaskMemoryBytes int64
-	NonBlocking     bool   // shuffle engine style (paper Fig. 6/7)
-	SpillDir        string // local disk for A-side spill runs
+	NonBlocking     bool // shuffle engine style (paper Fig. 6/7)
+
+	// SpillDir is ignored: A-side spills are in-memory runs. It stays
+	// only for callers that still set it.
+	SpillDir string
 
 	// Hosts optionally assigns each world rank to a simulated node for
 	// locality accounting; len must be NumO+NumA when set.
@@ -116,9 +119,6 @@ func (c *Config) fill() error {
 	}
 	if c.TaskMemoryBytes <= 0 {
 		c.TaskMemoryBytes = DefaultTaskMemoryBytes
-	}
-	if c.SpillDir == "" {
-		c.SpillDir = os.TempDir()
 	}
 	if c.Hosts != nil && len(c.Hosts) != c.NumO+c.NumA {
 		return fmt.Errorf("datampi: Hosts has %d entries, want %d", len(c.Hosts), c.NumO+c.NumA)

@@ -120,7 +120,6 @@ func TestSpillPathProducesSameResult(t *testing.T) {
 		// A 1 KB task memory at 40% forces many spills.
 		TaskMemoryBytes: 1 << 10,
 		MemUsedPercent:  0.4,
-		SpillDir:        t.TempDir(),
 	}
 	job, err := NewJob(cfg)
 	if err != nil {

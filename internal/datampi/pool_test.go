@@ -53,7 +53,7 @@ func TestConcurrentJobsNeverSeeEachOthersPairs(t *testing.T) {
 	defer leakcheck.Check(t)()
 	const pairs = 20000 // ~1.5 MB per O task: dozens of flushes each
 	runJob := func(fill byte, nonBlocking bool) error {
-		job, err := NewJob(Config{NumO: 3, NumA: 4, NonBlocking: nonBlocking, SpillDir: t.TempDir()})
+		job, err := NewJob(Config{NumO: 3, NumA: 4, NonBlocking: nonBlocking})
 		if err != nil {
 			return err
 		}
@@ -140,7 +140,7 @@ func TestBlocksReturnOnEveryPath(t *testing.T) {
 			runs := kvio.RunsOutstanding()
 			run := func() {
 				cfg := tc.cfg
-				cfg.NumO, cfg.NumA, cfg.SpillDir = numO, numA, t.TempDir()
+				cfg.NumO, cfg.NumA = numO, numA
 				if tc.wantErr == chaos.ErrInjected {
 					cfg.Chaos = chaos.NewPlane(chaos.Plan{Specs: []chaos.Spec{
 						{Kind: chaos.MsgDrop, Tag: tagData, After: 20},
@@ -177,10 +177,7 @@ func TestBlocksReturnOnEveryPath(t *testing.T) {
 				if !errors.Is(err, tc.wantErr) {
 					t.Fatalf("job ended with %v, want %v", err, tc.wantErr)
 				}
-				if n := kvio.RunsOutstanding() - runs; n != 0 {
-					t.Errorf("%d sorted runs not returned to the pool", n)
-				}
-				checkDirEmpty(t, cfg.SpillDir)
+				checkRunsReturned(t, runs)
 			}
 			run()
 			got := allocatedBy(t, run)
@@ -204,7 +201,7 @@ func TestShortOTaskAllocs(t *testing.T) {
 	defer leakcheck.Check(t)()
 	const tasks = 64
 	task := func() {
-		job, err := NewJob(Config{NumO: 1, NumA: 8, NonBlocking: true, SpillDir: t.TempDir()})
+		job, err := NewJob(Config{NumO: 1, NumA: 8, NonBlocking: true})
 		if err != nil {
 			t.Fatal(err)
 		}

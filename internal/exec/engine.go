@@ -46,7 +46,10 @@ type EngineConf struct {
 	MemUsedPercent  float64
 	TaskMemoryBytes int64
 	NonBlocking     bool // DataMPI shuffle style
-	SpillDir        string
+	// SpillDir is ignored: neither engine writes a host file (spills and
+	// map outputs are in-memory runs). It stays only for callers that
+	// still set it.
+	SpillDir string
 	// MaxTaskAttempts re-runs failed work: Hadoop map tasks re-execute
 	// individually; the DataMPI engine retries the whole stage from
 	// O-task checkpoints. Default 1 (no retries).

@@ -40,7 +40,7 @@ func BenchmarkMapCollectSpill(b *testing.B) {
 		{"spills=4/combiner", int(wire)/4 + 1, firstValue},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			cfg := Config{NumMaps: 1, NumReduces: 4, SortBufferBytes: bc.sortBuffer, Combiner: bc.combine, SpillDir: b.TempDir()}
+			cfg := Config{NumMaps: 1, NumReduces: 4, SortBufferBytes: bc.sortBuffer, Combiner: bc.combine}
 			b.SetBytes(wire)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -71,7 +71,7 @@ func BenchmarkMapCollectSpill(b *testing.B) {
 func BenchmarkReduceCopyMerge(b *testing.B) {
 	const numMaps = 8
 	keys, vals := benchPairs()
-	job, err := NewJob(Config{NumMaps: numMaps, NumReduces: 1, SpillDir: b.TempDir()})
+	job, err := NewJob(Config{NumMaps: numMaps, NumReduces: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package hadoop implements the baseline MapReduce execution engine the
 // paper compares against: a slot-scheduled job runner where map tasks
-// partition, sort and spill their output to local disk, and reduce
+// partition, sort and spill their output into sorted runs, and reduce
 // tasks pull completed map outputs (the copy phase can only start once
 // at least one map task has finished), merge the sorted segments and
 // run the reducer over key groups.
@@ -8,14 +8,16 @@
 // The structural differences from the DataMPI engine are deliberate and
 // are exactly what the paper measures: pull-based coarse-grained
 // shuffle versus push-based fine-grained overlap, and mandatory local
-// disk materialization of map output versus in-memory caching.
+// disk materialization of map output versus in-memory caching. The
+// disk is modeled, not used: spills and map outputs are pooled
+// in-memory runs, and the performance model charges their disk time
+// from the task counters (SpillBytes, SpillCount, ShuffleOutBytes,
+// MergeRuns).
 package hadoop
 
 import (
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"sync"
 
 	"hivempi/internal/kvio"
@@ -45,7 +47,10 @@ type Config struct {
 	SortBufferBytes int // map-side buffer before a sort+spill
 	MapSlots        int // concurrent map tasks (cluster-wide)
 	ReduceSlots     int // concurrent reduce tasks
-	SpillDir        string
+
+	// SpillDir is ignored: spills and map outputs are in-memory runs.
+	// It stays only for callers that still set it.
+	SpillDir string
 
 	// Hosts optionally assigns map task i to Hosts[i] for locality
 	// accounting (length NumMaps when set).
@@ -75,9 +80,6 @@ func (c *Config) fill() error {
 	}
 	if c.ReduceSlots <= 0 {
 		c.ReduceSlots = DefaultReduceSlots
-	}
-	if c.SpillDir == "" {
-		c.SpillDir = os.TempDir()
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 1
@@ -123,32 +125,54 @@ type Job struct {
 	completed  chan int // map IDs in completion order
 }
 
-// mapOutput is one sorted, partition-indexed run on local disk: a spill
-// while its map task runs, and the task's published output (the
-// file.out + index of real Hadoop) once it completes.
-// offsets[p]..offsets[p+1] delimit partition p; a task that emitted
-// nothing publishes all-zero offsets and no file.
+// mapOutput is one sorted, partition-indexed run: a spill while its
+// map task runs, and the task's published output (the file.out + index
+// of real Hadoop) once it completes. offsets[p]..offsets[p+1] delimit
+// partition p in the run's bytes; a task that emitted nothing publishes
+// all-zero offsets and no run.
 type mapOutput struct {
-	file    *os.File
+	run     *kvio.Run
 	offsets []int64 // len NumReduces+1
 }
 
 // size returns partition p's length in bytes.
 func (mo *mapOutput) size(p int) int { return int(mo.offsets[p+1] - mo.offsets[p]) }
 
-// readPartition fills dst, which must be size(p) long, with partition p.
-func (mo *mapOutput) readPartition(p int, dst []byte) error {
-	if len(dst) == 0 {
+// segment returns partition p's wire bytes, capped at the partition's
+// end. It aliases the run, so it is valid until discard.
+func (mo *mapOutput) segment(p int) []byte {
+	if mo.size(p) == 0 {
 		return nil
 	}
-	if n, err := mo.file.ReadAt(dst, mo.offsets[p]); err != nil && !(err == io.EOF && n == len(dst)) {
-		return err
-	}
-	return nil
+	return mo.run.Bytes()[mo.offsets[p]:mo.offsets[p+1]:mo.offsets[p+1]]
 }
 
-// discard closes and deletes the run's file.
-func (mo *mapOutput) discard() { kvio.DiscardRunFile(mo.file) }
+// out is the run to append the output to, taken from the pool with
+// room for size bytes on first use, so an output nothing is written to
+// holds no run.
+func (mo *mapOutput) out(size int) *kvio.Run {
+	if mo.run == nil {
+		mo.run = kvio.GetRun()
+		mo.run.Reserve(size)
+	}
+	return mo.run
+}
+
+// written is the number of bytes appended to the output so far.
+func (mo *mapOutput) written() int64 {
+	if mo.run == nil {
+		return 0
+	}
+	return int64(mo.run.Size())
+}
+
+// discard hands the run back to the pool; a second call is a no-op.
+func (mo *mapOutput) discard() {
+	if mo.run != nil {
+		mo.run.Release()
+		mo.run = nil
+	}
+}
 
 // NewJob validates the configuration.
 func NewJob(cfg Config) (*Job, error) {

@@ -87,13 +87,13 @@ func checkCounts(t *testing.T, got, want map[string]int) {
 
 func TestWordCount(t *testing.T) {
 	words, want := wordCorpus(5000)
-	got, _ := runWordCount(t, Config{NumMaps: 4, NumReduces: 3, SpillDir: t.TempDir()}, words)
+	got, _ := runWordCount(t, Config{NumMaps: 4, NumReduces: 3}, words)
 	checkCounts(t, got, want)
 }
 
 func TestWordCountTinySortBufferForcesSpills(t *testing.T) {
 	words, want := wordCorpus(3000)
-	cfg := Config{NumMaps: 3, NumReduces: 2, SortBufferBytes: 256, SpillDir: t.TempDir()}
+	cfg := Config{NumMaps: 3, NumReduces: 2, SortBufferBytes: 256}
 	got, job := runWordCount(t, cfg, words)
 	checkCounts(t, got, want)
 	var spills int64
@@ -108,7 +108,7 @@ func TestWordCountTinySortBufferForcesSpills(t *testing.T) {
 func TestCombinerReducesShuffleBytes(t *testing.T) {
 	words, want := wordCorpus(4000)
 	shuffleBytes := func(comb Combiner) (map[string]int, int64) {
-		cfg := Config{NumMaps: 2, NumReduces: 2, Combiner: comb, SpillDir: t.TempDir()}
+		cfg := Config{NumMaps: 2, NumReduces: 2, Combiner: comb}
 		got, job := runWordCount(t, cfg, words)
 		var b int64
 		for _, m := range job.MapMetrics() {
@@ -126,7 +126,7 @@ func TestCombinerReducesShuffleBytes(t *testing.T) {
 }
 
 func TestReduceGroupsSortedAndDistinct(t *testing.T) {
-	job, err := NewJob(Config{NumMaps: 3, NumReduces: 1, SpillDir: t.TempDir()})
+	job, err := NewJob(Config{NumMaps: 3, NumReduces: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestReduceGroupsSortedAndDistinct(t *testing.T) {
 }
 
 func TestMapOnlyJob(t *testing.T) {
-	job, err := NewJob(Config{NumMaps: 2, NumReduces: 0, SpillDir: t.TempDir()})
+	job, err := NewJob(Config{NumMaps: 2, NumReduces: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestMapOnlyJob(t *testing.T) {
 }
 
 func TestMapErrorPropagates(t *testing.T) {
-	job, err := NewJob(Config{NumMaps: 2, NumReduces: 1, SpillDir: t.TempDir()})
+	job, err := NewJob(Config{NumMaps: 2, NumReduces: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestMapErrorPropagates(t *testing.T) {
 }
 
 func TestReduceErrorPropagates(t *testing.T) {
-	job, err := NewJob(Config{NumMaps: 1, NumReduces: 2, SpillDir: t.TempDir()})
+	job, err := NewJob(Config{NumMaps: 1, NumReduces: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestReduceErrorPropagates(t *testing.T) {
 
 func TestMetricsBalanceAcrossShuffe(t *testing.T) {
 	words, _ := wordCorpus(2000)
-	_, job := runWordCount(t, Config{NumMaps: 3, NumReduces: 4, SpillDir: t.TempDir()}, words)
+	_, job := runWordCount(t, Config{NumMaps: 3, NumReduces: 4}, words)
 	var out, in int64
 	for _, m := range job.MapMetrics() {
 		out += m.ShuffleOutBytes
@@ -272,7 +272,7 @@ func TestSlotLimitedExecution(t *testing.T) {
 	// 8 maps with 2 slots: concurrency must never exceed 2.
 	var mu sync.Mutex
 	cur, peak := 0, 0
-	job, err := NewJob(Config{NumMaps: 8, NumReduces: 1, MapSlots: 2, SpillDir: t.TempDir()})
+	job, err := NewJob(Config{NumMaps: 8, NumReduces: 1, MapSlots: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,11 @@ package hadoop
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"reflect"
 	"sort"
 	"strconv"
@@ -122,14 +122,10 @@ func refMapOutput(pairs []refPair, numReduces, sortBuffer int, combine Combiner)
 	return spills, out
 }
 
-func readRun(t *testing.T, mo *mapOutput) refRun {
-	t.Helper()
+func readRun(mo *mapOutput) refRun {
 	run := refRun{offsets: mo.offsets}
-	if mo.file != nil {
-		var err error
-		if run.data, err = os.ReadFile(mo.file.Name()); err != nil {
-			t.Fatal(err)
-		}
+	if mo.run != nil {
+		run.data = mo.run.Bytes()
 	}
 	return run
 }
@@ -144,14 +140,12 @@ func checkRun(t *testing.T, what string, got, want refRun) {
 	}
 }
 
-func checkDirEmpty(t *testing.T, dir string) {
+// checkRunsReturned fails the test unless every sorted run taken since
+// kvio.RunsOutstanding read before is back in the pool.
+func checkRunsReturned(t *testing.T, before int64) {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		t.Errorf("left behind in SpillDir: %s", e.Name())
+	if n := kvio.RunsOutstanding() - before; n != 0 {
+		t.Errorf("%d sorted runs not returned to the pool", n)
 	}
 }
 
@@ -253,9 +247,9 @@ func TestMapOutputMatchesReference(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				kvs := st.pairs(rand.New(rand.NewSource(1)))
-				dir := t.TempDir()
+				runs := kvio.RunsOutstanding()
 				job, err := NewJob(Config{NumMaps: 1, NumReduces: st.numReduces, SortBufferBytes: st.sortBuffer,
-					Partitioner: st.partitioner, Combiner: combine, SpillDir: dir})
+					Partitioner: st.partitioner, Combiner: combine})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -279,35 +273,30 @@ func TestMapOutputMatchesReference(t *testing.T) {
 				wantSpills, wantOut := refMapOutput(ref, st.numReduces, st.sortBuffer, combine)
 
 				// close starts with this same call; making it here lets
-				// the runs be read before the merge deletes them.
-				if err := m.sortAndSpill(); err != nil {
-					t.Fatal(err)
-				}
+				// the runs be read before the merge releases them.
+				m.sortAndSpill()
 				if len(m.spills) != len(wantSpills) {
 					t.Fatalf("%d spills, reference %d", len(m.spills), len(wantSpills))
 				}
 				for i, sp := range m.spills {
-					checkRun(t, fmt.Sprintf("spill %d", i), readRun(t, sp), wantSpills[i])
+					checkRun(t, fmt.Sprintf("spill %d", i), readRun(sp), wantSpills[i])
 				}
 				mo, err := m.close()
 				if err != nil {
 					t.Fatal(err)
 				}
 				job.mapOutputs[0] = mo
-				checkRun(t, "file.out", readRun(t, mo), wantOut)
+				checkRun(t, "file.out", readRun(mo), wantOut)
 				if got := job.mapMetrics[0].ShuffleOutBytes; got != int64(len(wantOut.data)) {
 					t.Errorf("ShuffleOutBytes %d, reference %d", got, len(wantOut.data))
 				}
-				files, err := os.ReadDir(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := min(len(wantSpills), 1); len(files) != want {
-					t.Errorf("%d files in SpillDir after close, want %d", len(files), want)
+				// After close only the published output holds a run.
+				if want := int64(min(len(wantSpills), 1)); kvio.RunsOutstanding()-runs != want {
+					t.Errorf("%d runs outstanding after close, want %d", kvio.RunsOutstanding()-runs, want)
 				}
 				job.cleanup()
 				job.mapOutputs[0] = nil
-				checkDirEmpty(t, dir)
+				checkRunsReturned(t, runs)
 			})
 		}
 	}
@@ -368,7 +357,7 @@ func TestModelInputsPinned(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(fmt.Sprintf("%d pairs, combiner %v", c.n, c.combine), func(t *testing.T) {
-			cfg := Config{NumMaps: 1, NumReduces: 3, SortBufferBytes: 256, SpillDir: t.TempDir()}
+			cfg := Config{NumMaps: 1, NumReduces: 3, SortBufferBytes: 256}
 			if c.combine {
 				cfg.Combiner = sumCombiner
 			}
@@ -411,12 +400,12 @@ func TestModelInputsPinned(t *testing.T) {
 }
 
 // TestLoneSpillIsPromoted: a task that ends with one spill publishes
-// that file as its output — one file on disk while the reducers copy,
-// holding exactly the pairs the merge of that one run would have
-// written — and Run leaves SpillDir empty.
+// that run as its output — the only run outstanding while the reducers
+// copy, holding exactly the pairs the merge of that one run would have
+// written — and Run returns it to the pool.
 func TestLoneSpillIsPromoted(t *testing.T) {
-	dir := t.TempDir()
-	job, err := NewJob(Config{NumMaps: 1, NumReduces: 1, SpillDir: dir})
+	runs := kvio.RunsOutstanding()
+	job, err := NewJob(Config{NumMaps: 1, NumReduces: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,12 +424,8 @@ func TestLoneSpillIsPromoted(t *testing.T) {
 		return nil
 	}, func(r *ReduceContext) error {
 		// Every map has published by the time a reducer's merge starts.
-		files, err := os.ReadDir(dir)
-		if err != nil {
-			return err
-		}
-		if len(files) != 1 {
-			return fmt.Errorf("%d files in SpillDir during the reduce, want the promoted spill alone", len(files))
+		if n := kvio.RunsOutstanding() - runs; n != 1 {
+			return fmt.Errorf("%d runs outstanding during the reduce, want the promoted spill alone", n)
 		}
 		for {
 			key, vals, err := r.NextGroup()
@@ -464,11 +449,12 @@ func TestLoneSpillIsPromoted(t *testing.T) {
 	if m := job.MapMetrics()[0]; m.SpillCount != 1 || m.MergeRuns != 1 || m.ShuffleOutBytes != m.SpillBytes {
 		t.Errorf("SpillCount %d MergeRuns %d ShuffleOutBytes %d SpillBytes %d", m.SpillCount, m.MergeRuns, m.ShuffleOutBytes, m.SpillBytes)
 	}
-	checkDirEmpty(t, dir)
+	checkRunsReturned(t, runs)
 }
 
 // TestSpillDirEmptyAfterFailedJob: whichever side fails, and whether
-// the failing map had spilled or not, no run survives the job.
+// the failing map had spilled or not, no run survives the job: every
+// spill, map output and sort buffer is back in the pool.
 func TestSpillDirEmptyAfterFailedJob(t *testing.T) {
 	boom := errors.New("boom")
 	emit := func(m *MapContext, n int) error {
@@ -501,8 +487,8 @@ func TestSpillDirEmptyAfterFailedJob(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			dir := t.TempDir()
-			job, err := NewJob(Config{NumMaps: 3, NumReduces: 2, SortBufferBytes: 256, SpillDir: dir,
+			runs := kvio.RunsOutstanding()
+			job, err := NewJob(Config{NumMaps: 3, NumReduces: 2, SortBufferBytes: 256,
 				Partitioner: func(key []byte, n int) int {
 					if string(key) == "misrouted" {
 						return n
@@ -515,7 +501,7 @@ func TestSpillDirEmptyAfterFailedJob(t *testing.T) {
 			if err := job.Run(c.mapper, c.reduce); err == nil {
 				t.Error("job succeeded")
 			}
-			checkDirEmpty(t, dir)
+			checkRunsReturned(t, runs)
 		})
 	}
 }
@@ -541,45 +527,40 @@ func TestDrainFailsOnSourceError(t *testing.T) {
 	boom := errors.New("segment went away")
 	b := kvio.GetRun()
 	defer b.Release()
-	f, err := os.CreateTemp(t.TempDir(), "out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	b.Begin(f)
 	if err := drain(b, &errAfter{n: 3, err: io.EOF}); err != nil {
 		t.Errorf("a stream ending in io.EOF: %v", err)
 	}
-	err = drain(b, &errAfter{n: 3, err: boom})
+	pair := kvio.AppendKV(nil, []byte("k"), []byte("v"))
+	if want := bytes.Repeat(pair, 3); !bytes.Equal(b.Bytes(), want) {
+		t.Errorf("drained %x, want %x", b.Bytes(), want)
+	}
+	err := drain(b, &errAfter{n: 3, err: boom})
 	if !errors.Is(err, boom) {
 		t.Errorf("a stream failing after 3 pairs: drain returned %v", err)
 	}
 }
 
 // TestDamagedSpillFailsOrRetriesNeverTruncates damages a map task's
-// spill runs on disk just before its final merge reads them back. The
-// attempt must fail; with attempts left the retry must publish the
-// complete output, without them the job must fail — in no case may the
-// reducers be handed the pairs that happened to precede the damage.
+// spill runs just before its final merge reads them back. The attempt
+// must fail; with attempts left the retry must publish the complete
+// output, without them the job must fail — in no case may the reducers
+// be handed the pairs that happened to precede the damage.
 func TestDamagedSpillFailsOrRetriesNeverTruncates(t *testing.T) {
-	damages := map[string]func(path string) error{
-		"truncated": func(path string) error { return os.Truncate(path, 40) },
-		"bad framing": func(path string) error {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				return err
+	damages := map[string]func(run []byte){
+		// Every pair here is 10 wire bytes, so byte 40 starts one: its
+		// key length now runs past the end of the run.
+		"truncated": func(run []byte) { binary.PutUvarint(run[40:], 1<<30) },
+		"bad framing": func(run []byte) {
+			for i := range run {
+				run[i] = 0x7F // every length claims 127 bytes
 			}
-			for i := range data {
-				data[i] = 0x7F // every length claims 127 bytes
-			}
-			return os.WriteFile(path, data, 0o600)
 		},
 	}
 	for name, damage := range damages {
 		for _, attempts := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s, %d attempts", name, attempts), func(t *testing.T) {
-				dir := t.TempDir()
-				job, err := NewJob(Config{NumMaps: 2, NumReduces: 1, SortBufferBytes: 512, MaxAttempts: attempts, SpillDir: dir})
+				runs := kvio.RunsOutstanding()
+				job, err := NewJob(Config{NumMaps: 2, NumReduces: 1, SortBufferBytes: 512, MaxAttempts: attempts})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -597,9 +578,7 @@ func TestDamagedSpillFailsOrRetriesNeverTruncates(t *testing.T) {
 					}
 					damaged = true
 					for _, sp := range m.spills {
-						if err := damage(sp.file.Name()); err != nil {
-							return err
-						}
+						damage(sp.run.Bytes())
 					}
 					return nil
 				}, func(r *ReduceContext) error {
@@ -629,7 +608,7 @@ func TestDamagedSpillFailsOrRetriesNeverTruncates(t *testing.T) {
 						t.Errorf("map 0 took %d attempts, want 2", got)
 					}
 				}
-				checkDirEmpty(t, dir)
+				checkRunsReturned(t, runs)
 			})
 		}
 	}
@@ -639,7 +618,6 @@ func TestDamagedSpillFailsOrRetriesNeverTruncates(t *testing.T) {
 // since before the collect arena, word for word.
 func TestMapOutputErrorsKeepTheirText(t *testing.T) {
 	run := func(cfg Config, body MapBody) error {
-		cfg.SpillDir = t.TempDir()
 		job, err := NewJob(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -655,14 +633,5 @@ func TestMapOutputErrorsKeepTheirText(t *testing.T) {
 	err = run(Config{NumMaps: 1, NumReduces: 0}, emitOne)
 	if want := "map 0 attempt 1: hadoop: Emit on a map-only job"; err == nil || err.Error() != want {
 		t.Errorf("Emit on a map-only job: %v, want %s", err, want)
-	}
-
-	job, err := NewJob(Config{NumMaps: 1, NumReduces: 1, SpillDir: t.TempDir() + "/missing"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = job.Run(emitOne, drainReduce)
-	if err == nil || !bytes.HasPrefix([]byte(err.Error()), []byte("map 0 attempt 1 close: hadoop: create spill: ")) {
-		t.Errorf("spill create failure: %v", err)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // MapContext is the handle given to a map task body. Emit is the
 // OutputCollector.collect analogue: pairs accumulate in the map-side
 // sort buffer (a kvio.Run: Hadoop's kvbuffer arena plus kvmeta index)
-// and are sorted and spilled to local disk when the buffer fills,
+// and are sorted and spilled into a sorted run when the buffer fills,
 // exactly like Hadoop's MapOutputBuffer.
 type MapContext struct {
 	job     *Job
@@ -25,10 +25,10 @@ type MapContext struct {
 	flushMarks []int64
 }
 
-// drain writes every pair of a merged stream to the run's file. Only
-// io.EOF ends the stream: any other error means pairs are missing, and
-// the file must not be published.
-func drain(b *kvio.Run, src kvio.Source) error {
+// drain appends every pair of a merged stream to out. Only io.EOF ends
+// the stream: any other error means pairs are missing, and the run must
+// not be published.
+func drain(out *kvio.Run, src kvio.Source) error {
 	for {
 		kv, err := src.Next()
 		if err == io.EOF {
@@ -37,9 +37,7 @@ func drain(b *kvio.Run, src kvio.Source) error {
 		if err != nil {
 			return fmt.Errorf("hadoop: merge spills: %w", err)
 		}
-		if err := b.WriteKV(kv.Key, kv.Value); err != nil {
-			return fmt.Errorf("hadoop: write map output: %w", err)
-		}
+		out.AppendWireKV(kv.Key, kv.Value)
 	}
 }
 
@@ -86,71 +84,59 @@ func (m *MapContext) Emit(key, value []byte) error {
 	m.metrics.PartitionBytes[part] += int64(b.Size() - start)
 	m.emitCount++
 	if b.Size() >= m.job.cfg.SortBufferBytes {
-		return m.sortAndSpill()
+		m.sortAndSpill()
 	}
 	return nil
 }
 
-// sortAndSpill sorts the buffer by (partition, key) and writes one spill
-// run with a partition index, applying the combiner when configured.
-func (m *MapContext) sortAndSpill() error {
+// sortAndSpill sorts the buffer by (partition, key) and copies it into
+// one spill run with a partition index, applying the combiner when
+// configured.
+func (m *MapContext) sortAndSpill() {
 	b := m.buf
 	if b.Len() == 0 {
-		return nil
+		return
 	}
 	b.Sort(b.ByPartKey)
-	f, err := kvio.CreateRunFile(m.job.cfg.SpillDir, "hadoop-spill-*.run")
-	if err != nil {
-		return fmt.Errorf("hadoop: create spill: %w", err)
-	}
-	sp := &mapOutput{file: f, offsets: make([]int64, m.job.cfg.NumReduces+1)}
-	b.Begin(f)
+	sp := &mapOutput{offsets: make([]int64, m.job.cfg.NumReduces+1)}
 	index := b.Entries()
 	i := 0
 	for p := 0; p < m.job.cfg.NumReduces; p++ {
-		sp.offsets[p] = b.Written()
+		sp.offsets[p] = sp.written()
 		j := i
 		for j < len(index) && index[j].Part == p {
 			j++
 		}
-		if err := m.writePartition(index[i:j]); err != nil {
-			sp.discard()
-			return err
-		}
+		m.writePartition(sp, index[i:j])
 		i = j
 	}
-	sp.offsets[m.job.cfg.NumReduces] = b.Written()
-	if err := b.Flush(); err != nil {
-		sp.discard()
-		return fmt.Errorf("hadoop: flush spill: %w", err)
-	}
+	n := sp.written()
+	sp.offsets[m.job.cfg.NumReduces] = n
 	m.metrics.SpillCount++
-	m.metrics.SpillBytes += b.Written()
+	m.metrics.SpillBytes += n
 	m.flushMarks = append(m.flushMarks, m.emitCount)
 	m.spills = append(m.spills, sp)
 	b.Reset()
-	return nil
 }
 
-// writePartition writes one partition's sorted pairs, combining first
-// when a combiner is configured. The combiner sees sub-slices of the
-// arena, valid until it returns.
-func (m *MapContext) writePartition(pairs []kvio.RunEntry) error {
+// writePartition appends one partition's sorted pairs to the spill,
+// combining first when a combiner is configured. Without a combiner the
+// spill is exactly the buffer's size, reserved at once; a combiner's
+// output size is known only once it has run. The combiner sees
+// sub-slices of the sort buffer's arena, valid until it returns.
+func (m *MapContext) writePartition(sp *mapOutput, pairs []kvio.RunEntry) {
 	b := m.buf
 	if m.job.cfg.Combiner == nil {
 		for _, e := range pairs {
-			if err := b.Write(b.Wire(e)); err != nil {
-				return fmt.Errorf("hadoop: write spill: %w", err)
-			}
+			sp.out(b.Size()).AppendWire(b.Wire(e))
 		}
-		return nil
+		return
 	}
-	return b.Groups(pairs, func(key []byte, vals [][]byte) error {
+	// The callback cannot fail, so neither can the walk.
+	_ = b.Groups(pairs, func(key []byte, vals [][]byte) error {
 		m.metrics.CombineInPairs += int64(len(vals))
 		for _, v := range m.job.cfg.Combiner(key, vals) {
-			if err := b.WriteKV(key, v); err != nil {
-				return fmt.Errorf("hadoop: write combined spill: %w", err)
-			}
+			sp.out(0).AppendWireKV(key, v)
 			m.metrics.CombineOutPairs++
 		}
 		return nil
@@ -159,15 +145,13 @@ func (m *MapContext) writePartition(pairs []kvio.RunEntry) error {
 
 // close runs the final spill and turns the task's spill runs into its
 // partition-indexed output (Hadoop's file.out): several runs are
-// merged, a single run already is that file and is promoted as it
+// merged, a single run already is that output and is promoted as it
 // stands (MapTask.mergeParts renames a lone spill the same way).
 func (m *MapContext) close() (*mapOutput, error) {
 	if m.job.cfg.NumReduces == 0 {
 		return nil, nil
 	}
-	if err := m.sortAndSpill(); err != nil {
-		return nil, err
-	}
+	m.sortAndSpill()
 	var mo *mapOutput
 	switch len(m.spills) {
 	case 0:
@@ -204,38 +188,30 @@ func (m *MapContext) close() (*mapOutput, error) {
 	return mo, nil
 }
 
-// mergeSpills merges the spill runs partition by partition into a new
-// file. Nothing is collected any more, so the sort buffer's arena holds
-// the partition's segments while they are merged.
+// mergeSpills merges the spill runs partition by partition into one new
+// run, reserved to their total size. Each partition's segments are
+// merged where they lie in the spills; CountPairs proves a segment's
+// framing before the merge reads it, so damage fails the task instead
+// of ending its output early.
 func (m *MapContext) mergeSpills() (*mapOutput, error) {
-	out, err := kvio.CreateRunFile(m.job.cfg.SpillDir, "hadoop-mapout-*.out")
-	if err != nil {
-		return nil, fmt.Errorf("hadoop: create map output: %w", err)
+	total := 0
+	for _, sp := range m.spills {
+		total += int(sp.written())
 	}
-	mo := &mapOutput{file: out, offsets: make([]int64, m.job.cfg.NumReduces+1)}
-	b := m.buf
-	b.Begin(out)
+	mo := &mapOutput{offsets: make([]int64, m.job.cfg.NumReduces+1)}
+	if total == 0 {
+		return mo, nil // every spill was combined away
+	}
+	out := mo.out(total)
 	runs := make([]kvio.WireSource, len(m.spills))
 	sources := make([]kvio.Source, 0, len(m.spills))
 	for p := 0; p < m.job.cfg.NumReduces; p++ {
-		mo.offsets[p] = b.Written()
-		total := 0
-		for _, sp := range m.spills {
-			total += sp.size(p)
-		}
-		b.Reset()
-		rest := b.Grow(total)
+		mo.offsets[p] = mo.written()
 		sources = sources[:0]
 		for i, sp := range m.spills {
-			n := sp.size(p)
-			if n == 0 {
+			seg := sp.segment(p)
+			if len(seg) == 0 {
 				continue
-			}
-			seg := rest[:n:n]
-			rest = rest[n:]
-			if err := sp.readPartition(p, seg); err != nil {
-				mo.discard()
-				return nil, fmt.Errorf("hadoop: read spill segment: %w", err)
 			}
 			if _, err := kvio.CountPairs(seg); err != nil {
 				mo.discard()
@@ -246,22 +222,18 @@ func (m *MapContext) mergeSpills() (*mapOutput, error) {
 		}
 		merge, err := kvio.NewMerge(sources)
 		if err == nil {
-			err = drain(b, merge)
+			err = drain(out, merge)
 		}
 		if err != nil {
 			mo.discard()
 			return nil, err
 		}
 	}
-	mo.offsets[m.job.cfg.NumReduces] = b.Written()
-	if err := b.Flush(); err != nil {
-		mo.discard()
-		return nil, fmt.Errorf("hadoop: flush map output: %w", err)
-	}
+	mo.offsets[m.job.cfg.NumReduces] = mo.written()
 	return mo, nil
 }
 
-// abandon discards a failed attempt's spill files and returns its
+// abandon discards a failed attempt's spill runs and returns its
 // collect buffer.
 func (m *MapContext) abandon() {
 	for _, sp := range m.spills {

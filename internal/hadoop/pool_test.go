@@ -23,7 +23,7 @@ func TestConcurrentJobsNeverSeeEachOthersPairs(t *testing.T) {
 	const pairs = 4000 // ~300 KB per map: several spills, then a merge
 	runJob := func(fill byte, combine Combiner) error {
 		job, err := NewJob(Config{NumMaps: 6, NumReduces: 3, MapSlots: 3, SortBufferBytes: 48 << 10,
-			Combiner: combine, SpillDir: t.TempDir()})
+			Combiner: combine})
 		if err != nil {
 			return err
 		}
@@ -109,11 +109,10 @@ func TestCollectBuffersReturnOnEveryPath(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
 			runs := kvio.RunsOutstanding()
 			run := func() {
 				job, err := NewJob(Config{NumMaps: numMaps, NumReduces: 2, MapSlots: numMaps,
-					SortBufferBytes: 48 << 10, Combiner: swallow, SpillDir: dir})
+					SortBufferBytes: 48 << 10, Combiner: swallow})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -140,9 +139,7 @@ func TestCollectBuffersReturnOnEveryPath(t *testing.T) {
 				if tc.failing != errors.Is(err, boom) {
 					t.Fatalf("job ended with %v", err)
 				}
-				if n := kvio.RunsOutstanding() - runs; n != 0 {
-					t.Errorf("%d sorted runs not returned to the pool", n)
-				}
+				checkRunsReturned(t, runs)
 			}
 			run()
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -151,18 +148,16 @@ func TestCollectBuffersReturnOnEveryPath(t *testing.T) {
 			run()
 			runtime.ReadMemStats(&after)
 			got := after.TotalAlloc - before.TotalAlloc
-			// A cold buffer costs its 64 KiB writer plus an arena and an
-			// index grown by doubling, ~320 KB in all (a job that keeps
-			// its buffers makes the next one allocate 21 MB); everything
-			// else a job of this size allocates (task records, file
-			// names, channels) is ~400 KB.
+			// A cold buffer costs an arena and an index grown by
+			// doubling, under 320 KB in all (a job that keeps its buffers
+			// makes the next one allocate 21 MB); everything else a job
+			// of this size allocates (task records, channels) is ~400 KB.
 			const coldBuffer = 320 << 10
 			if limit := uint64(numMaps * coldBuffer / 2); got > limit {
 				t.Errorf("second job allocated %d KB; the first kept its buffers (ceiling %d KB, %d cold buffers are %d KB)",
 					got>>10, limit>>10, numMaps, numMaps*coldBuffer>>10)
 			}
 			t.Logf("second job allocated %d KB", got>>10)
-			checkDirEmpty(t, dir)
 		})
 	}
 }
@@ -172,8 +167,8 @@ func TestCollectBuffersReturnOnEveryPath(t *testing.T) {
 // and a second abandon (runMap calls it after a failed close, which may
 // have released already) is harmless.
 func TestAbandonReleasesBuffer(t *testing.T) {
-	dir := t.TempDir()
-	job, err := NewJob(Config{NumMaps: 1, NumReduces: 2, SortBufferBytes: 128, SpillDir: dir})
+	runs := kvio.RunsOutstanding()
+	job, err := NewJob(Config{NumMaps: 1, NumReduces: 2, SortBufferBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,5 +186,5 @@ func TestAbandonReleasesBuffer(t *testing.T) {
 		t.Errorf("after abandon: buffer %v, %d spills", m.buf != nil, len(m.spills))
 	}
 	m.abandon()
-	checkDirEmpty(t, dir)
+	checkRunsReturned(t, runs)
 }

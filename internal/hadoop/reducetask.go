@@ -44,42 +44,30 @@ func (j *Job) runReduce(taskID int, completions <-chan int, body ReduceBody) err
 	metrics := j.reduceMetrics[taskID]
 
 	// Copy phase. A segment moves only once its map has completed
-	// (Hadoop's coarse-grained shuffle); all of them are read once the
-	// last map is done, back to back into one pooled arena sized for the
-	// lot. Each is key-sorted by the map-side merge and is merged as it
-	// lies: pairs are cut from its wire bytes on demand.
-	copied := make([]int, 0, j.cfg.NumMaps) // map IDs in completion order
-	total := 0
+	// (Hadoop's coarse-grained shuffle). Each is key-sorted by the
+	// map-side merge and is merged where it lies in the published run:
+	// pairs are cut from its wire bytes on demand.
+	runs := make([]kvio.WireSource, 0, j.cfg.NumMaps) // in completion order
 	for m := range completions {
 		// A nil output: the producing map failed; the job error surfaces
 		// from it.
-		if mo := j.mapOutputs[m]; mo != nil && mo.size(taskID) > 0 {
-			copied = append(copied, m)
-			total += mo.size(taskID)
-		}
-	}
-	arena := kvio.GetRun()
-	defer arena.Release()
-	rest := arena.Grow(total)
-	runs := make([]kvio.WireSource, len(copied))
-	sources := make([]kvio.Source, len(copied))
-	for i, m := range copied {
 		mo := j.mapOutputs[m]
-		n := mo.size(taskID)
-		seg := rest[:n:n]
-		rest = rest[n:]
-		if err := mo.readPartition(taskID, seg); err != nil {
-			return fmt.Errorf("reduce %d copy from map %d: %w", taskID, m, err)
+		if mo == nil || mo.size(taskID) == 0 {
+			continue
 		}
+		seg := mo.segment(taskID)
 		pairs, err := kvio.CountPairs(seg)
 		if err != nil {
 			return fmt.Errorf("reduce %d decode segment: %w", taskID, err)
 		}
-		metrics.ShuffleInBytes += int64(n)
+		metrics.ShuffleInBytes += int64(len(seg))
 		metrics.ShuffleInPairs += int64(pairs)
-		j.comm.AddMessage(m, taskID, int64(n))
+		j.comm.AddMessage(m, taskID, int64(len(seg)))
 		j.comm.AddRecords(m, taskID, int64(pairs))
-		runs[i] = kvio.WireSource{Buf: seg}
+		runs = append(runs, kvio.WireSource{Buf: seg})
+	}
+	sources := make([]kvio.Source, len(runs))
+	for i := range runs {
 		sources[i] = &runs[i]
 	}
 

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"hivempi/internal/kvio"
 )
 
 // TestMapRetryRecoversFromTransientFailure injects a one-shot failure
@@ -14,11 +16,11 @@ import (
 // correct output.
 func TestMapRetryRecoversFromTransientFailure(t *testing.T) {
 	words, want := wordCorpus(3000)
-	dir := t.TempDir()
+	runs := kvio.RunsOutstanding()
 	// The buffer is small enough that the failing attempt has spilled
 	// before it fails: the retry must not inherit or leak those runs.
 	job, err := NewJob(Config{
-		NumMaps: 4, NumReduces: 2, MaxAttempts: 3, SortBufferBytes: 256, SpillDir: dir,
+		NumMaps: 4, NumReduces: 2, MaxAttempts: 3, SortBufferBytes: 256,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -66,15 +68,15 @@ func TestMapRetryRecoversFromTransientFailure(t *testing.T) {
 		t.Fatal("failure was never injected")
 	}
 	checkCounts(t, counts, want)
-	checkDirEmpty(t, dir)
+	checkRunsReturned(t, runs)
 }
 
 // TestMapRetryExhaustionFailsJob verifies a persistently failing task
 // surfaces its error after MaxAttempts.
 func TestMapRetryExhaustionFailsJob(t *testing.T) {
 	var attempts atomic.Int32
-	dir := t.TempDir()
-	job, err := NewJob(Config{NumMaps: 1, NumReduces: 1, MaxAttempts: 3, SpillDir: dir})
+	runs := kvio.RunsOutstanding()
+	job, err := NewJob(Config{NumMaps: 1, NumReduces: 1, MaxAttempts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,14 +103,14 @@ func TestMapRetryExhaustionFailsJob(t *testing.T) {
 	if !strings.Contains(err.Error(), "attempt 3") {
 		t.Errorf("error should name the final attempt: %v", err)
 	}
-	checkDirEmpty(t, dir)
+	checkRunsReturned(t, runs)
 }
 
 // TestRetryDoesNotDoubleCount ensures a retried task's metrics reflect
 // only the successful attempt.
 func TestRetryDoesNotDoubleCount(t *testing.T) {
-	dir := t.TempDir()
-	job, err := NewJob(Config{NumMaps: 1, NumReduces: 1, MaxAttempts: 2, SpillDir: dir})
+	runs := kvio.RunsOutstanding()
+	job, err := NewJob(Config{NumMaps: 1, NumReduces: 1, MaxAttempts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,5 +149,5 @@ func TestRetryDoesNotDoubleCount(t *testing.T) {
 	if got := job.MapMetrics()[0].ShuffleOutPairs; got != 50 {
 		t.Errorf("metrics count %d pairs, want 50 (no double counting)", got)
 	}
-	checkDirEmpty(t, dir)
+	checkRunsReturned(t, runs)
 }

@@ -41,7 +41,6 @@ func newDriver(t *testing.T, engine exec.Engine) *hive.Driver {
 		Nodes:     []string{"s1", "s2", "s3"},
 	})}
 	conf := exec.DefaultEngineConf()
-	conf.SpillDir = t.TempDir()
 	conf.Slaves = []string{"s1", "s2", "s3"}
 	conf.SlotsPerNode = 2
 	d := hive.NewDriver(env, engine, conf)
@@ -180,7 +179,6 @@ func TestAggregateVsDirectComputation(t *testing.T) {
 
 func TestTeraSort(t *testing.T) {
 	conf := exec.DefaultEngineConf()
-	conf.SpillDir = t.TempDir()
 	records := TeraGen(5000, 11)
 	st, keys, err := RunTeraSort(records, 4, 3, conf)
 	if err != nil {

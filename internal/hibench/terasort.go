@@ -49,7 +49,6 @@ func RunTeraSort(records [][2][]byte, numMaps, numReduces int,
 		SortBufferBytes: conf.SortBufferBytes,
 		MapSlots:        conf.MaxSlots(),
 		ReduceSlots:     conf.MaxSlots(),
-		SpillDir:        conf.SpillDir,
 		// Range partitioner on the first key byte keeps global order
 		// across reducers, like TeraSort's sampled partitioner.
 		Partitioner: func(key []byte, n int) int {

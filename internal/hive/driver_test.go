@@ -2,6 +2,7 @@ package hive
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -22,7 +23,6 @@ func newTestDriver(t *testing.T, engine exec.Engine) *Driver {
 		Nodes:     []string{"s1", "s2", "s3"},
 	})}
 	conf := exec.DefaultEngineConf()
-	conf.SpillDir = t.TempDir()
 	conf.Slaves = []string{"s1", "s2", "s3"}
 	conf.SlotsPerNode = 2
 	return NewDriver(env, engine, conf)
@@ -419,6 +419,58 @@ func TestCTASStoresTheValuesItWasGiven(t *testing.T) {
 				t.Errorf("a double bound for a bigint column: err = %v", err)
 			}
 		})
+	}
+}
+
+// TestCTASNonFiniteDoubles: an ORC CTAS of a double column holding
+// NaN, +Inf and -Inf closes (a stripe holding a NaN or an infinite
+// bound records no bounds), reads those values back, and a pushed-down
+// predicate on the column returns the rows it returns over the Text
+// source — NaN compares equal to every value, so a stripe whose finite
+// bounds surround a NaN must not be pruned either.
+func TestCTASNonFiniteDoubles(t *testing.T) {
+	d := newTestDriver(t, core.New())
+	if _, err := d.Run(`CREATE TABLE vals (id int, x double)`); err != nil {
+		t.Fatal(err)
+	}
+	parts := [][]float64{
+		{0.5, 1.5, 2.5, 9.5},
+		{3, math.NaN(), -2},
+		{math.Inf(1), 4, 7},
+		{math.Inf(-1), -5, math.NaN(), math.Inf(1)},
+	}
+	id := 0
+	for part, xs := range parts {
+		var rows []types.Row
+		for _, x := range xs {
+			rows = append(rows, types.Row{types.Int(int64(id)), types.Float(x)})
+			id++
+		}
+		rows = append(rows, types.Row{types.Int(int64(id)), types.Null()})
+		id++
+		if err := d.LoadTableData("vals", part, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := d.Run(`CREATE TABLE vals_orc STORED AS orc AS SELECT id, x FROM vals`); err != nil {
+		t.Fatalf("ORC CTAS: %v", err)
+	}
+	render := func(res *Result) string { return fmt.Sprint(res.Rows) }
+	all := render(query(t, d, "SELECT id, x FROM vals_orc ORDER BY id"))
+	if want := render(query(t, d, "SELECT id, x FROM vals ORDER BY id")); all != want {
+		t.Errorf("ORC read back %s, Text %s", all, want)
+	}
+	for _, v := range []string{"NaN", "+Inf", "-Inf"} {
+		if !strings.Contains(all, v) {
+			t.Errorf("%s missing from the ORC table: %s", v, all)
+		}
+	}
+	for _, pred := range []string{"x > 5", "x < 0", "x = 4", "x >= 1e300", "x <= -1e300", "x > 100 AND x < 200"} {
+		orc := render(query(t, d, "SELECT id, x FROM vals_orc WHERE "+pred+" ORDER BY id"))
+		text := render(query(t, d, "SELECT id, x FROM vals WHERE "+pred+" ORDER BY id"))
+		if orc != text {
+			t.Errorf("WHERE %s: ORC %s, Text %s", pred, orc, text)
+		}
 	}
 }
 

@@ -42,7 +42,6 @@ func newPinnedDriver(t *testing.T) *Driver {
 		Nodes:       []string{"s1", "s2", "s3"},
 	})}
 	conf := exec.DefaultEngineConf()
-	conf.SpillDir = t.TempDir()
 	conf.Slaves = []string{"s1", "s2", "s3"}
 	conf.SlotsPerNode = 2
 	d := NewDriver(env, core.New(), conf)
@@ -127,7 +126,6 @@ func TestSchedulerBlacklistsDeadNodes(t *testing.T) {
 		Nodes:       []string{"s1", "s2", "s3"},
 	})}
 	conf := exec.DefaultEngineConf()
-	conf.SpillDir = t.TempDir()
 	conf.Slaves = []string{"s1", "s2", "s3"}
 	conf.SlotsPerNode = 2
 	d := NewDriver(env, core.New(), conf)
@@ -178,7 +176,6 @@ func TestRankLossRetriesOntoSurvivors(t *testing.T) {
 		Nodes:       []string{"s1", "s2", "s3"},
 	})}
 	conf := exec.DefaultEngineConf()
-	conf.SpillDir = t.TempDir()
 	conf.Slaves = []string{"s1", "s2", "s3"}
 	conf.SlotsPerNode = 2
 	d := NewDriver(env, core.New(), conf)

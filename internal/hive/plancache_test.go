@@ -202,7 +202,6 @@ func TestPlanCacheInvalidatedByNodeDeath(t *testing.T) {
 		Nodes:       []string{"s1", "s2", "s3"},
 	})}
 	conf := exec.DefaultEngineConf()
-	conf.SpillDir = t.TempDir()
 	conf.Slaves = []string{"s1", "s2", "s3"}
 	conf.SlotsPerNode = 2
 	d := NewDriver(env, core.New(), conf)

@@ -1,7 +1,6 @@
 package kvio
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -93,28 +92,6 @@ func BenchmarkMerge8(b *testing.B) {
 		}
 		if n != len(kvs) {
 			b.Fatalf("merged %d pairs", n)
-		}
-	}
-}
-
-// BenchmarkReaderNext streams a spilled run back, the DataMPI A-side
-// path when the receive cache overflowed.
-func BenchmarkReaderNext(b *testing.B) {
-	kvs, wire := benchPairs(4096)
-	b.SetBytes(int64(len(wire)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		kr := NewReader(bytes.NewReader(wire))
-		n := 0
-		for {
-			if _, err := kr.Next(); err != nil {
-				break
-			}
-			n++
-		}
-		if n != len(kvs) {
-			b.Fatalf("read %d pairs", n)
 		}
 	}
 }

@@ -1,10 +1,10 @@
-// Package kvio provides the key-value wire encoding, sorted-run file
-// format and streaming k-way merge shared by both execution engines'
-// shuffle paths (DataMPI partitions and Hadoop spill files).
+// Package kvio provides the key-value wire encoding, the in-memory
+// sorted run and the streaming k-way merge shared by both execution
+// engines' shuffle paths (DataMPI partitions and A-side spills, Hadoop
+// spills and map outputs).
 package kvio
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -37,6 +37,18 @@ func AppendKV(buf []byte, key, value []byte) []byte {
 	return buf
 }
 
+// uvarint is binary.Uvarint that also rejects (w = 0) a varint that is
+// not minimally encoded, one whose last byte is zero: a Run recomputes
+// header widths from the lengths it indexes, so a longer header would
+// put its pairs' bytes out of place.
+func uvarint(buf []byte) (uint64, int) {
+	v, w := binary.Uvarint(buf)
+	if w > 1 && buf[w-1] == 0 {
+		return 0, 0
+	}
+	return v, w
+}
+
 // CountPairs scans buf's framing without materialising pairs and
 // returns how many pairs it holds. The scan only walks varint headers
 // (payloads are skipped), so it is cheap relative to decoding and lets
@@ -54,7 +66,7 @@ func CountPairs(buf []byte) (int, error) {
 			if pos < len(buf) && buf[pos] < 0x80 {
 				l, w = uint64(buf[pos]), 1
 			} else {
-				l, w = binary.Uvarint(buf[pos:])
+				l, w = uvarint(buf[pos:])
 			}
 			if w <= 0 {
 				return 0, fmt.Errorf("kvio: bad length at %d", pos)
@@ -283,92 +295,6 @@ func sortByValue(a []KV) {
 	}
 }
 
-// Reader streams pairs back from a run.
-type Reader struct {
-	r *bufio.Reader
-	// chunk is the tail of the current payload chunk: keys and values
-	// are cut from its front and never rewritten, so a pair stays valid
-	// for as long as the caller holds it (a Grouper keeps a whole
-	// group's values across Next calls).
-	chunk []byte
-	grow  int // size of the next chunk
-}
-
-// Payload chunks start small so a short run wastes little and double up
-// to readerChunkMax; a payload longer than that is read on its own.
-const (
-	readerChunkMin = 4 << 10
-	readerChunkMax = 64 << 10
-)
-
-// NewReader wraps r for run input.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReader(r), grow: readerChunkMin}
-}
-
-// Next returns the next pair or io.EOF at run end. The pair's bytes are
-// the caller's to keep: no later call touches them.
-func (kr *Reader) Next() (KV, error) {
-	kl, err := binary.ReadUvarint(kr.r)
-	if err != nil {
-		if err == io.EOF {
-			return KV{}, io.EOF
-		}
-		return KV{}, fmt.Errorf("kvio: run key length: %w", err)
-	}
-	key, err := kr.payload(kl)
-	if err != nil {
-		return KV{}, fmt.Errorf("kvio: run truncated key: %w", err)
-	}
-	vl, err := binary.ReadUvarint(kr.r)
-	if err != nil {
-		return KV{}, fmt.Errorf("kvio: run truncated value length: %w", err)
-	}
-	val, err := kr.payload(vl)
-	if err != nil {
-		return KV{}, fmt.Errorf("kvio: run truncated value: %w", err)
-	}
-	return KV{Key: key, Value: val}, nil
-}
-
-// payload reads n bytes into memory no later call reuses.
-func (kr *Reader) payload(n uint64) ([]byte, error) {
-	if n > readerChunkMax {
-		return kr.longPayload(n)
-	}
-	if uint64(len(kr.chunk)) < n {
-		kr.chunk = make([]byte, max(uint64(kr.grow), n))
-		kr.grow = min(2*kr.grow, readerChunkMax)
-	}
-	// Full slice expression: an append by the caller must not run into
-	// the next pair's bytes.
-	p := kr.chunk[:n:n]
-	kr.chunk = kr.chunk[n:]
-	_, err := io.ReadFull(kr.r, p)
-	return p, err
-}
-
-// longPayload reads a payload larger than one chunk in steps no larger
-// than what has already arrived (at least one chunk), so a header that
-// lies about its length costs memory in proportion to the bytes really
-// present, not to the claim.
-func (kr *Reader) longPayload(n uint64) ([]byte, error) {
-	var p []byte
-	for uint64(len(p)) < n {
-		step := min(n-uint64(len(p)), uint64(max(len(p), readerChunkMax)))
-		have := len(p)
-		//lint:ignore hivelint/hotalloc growing as bytes arrive is the bound: the final size is a claim the wire has not yet backed
-		p = append(p, make([]byte, step)...)
-		if _, err := io.ReadFull(kr.r, p[have:]); err != nil {
-			if have > 0 && err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
-	}
-	return p, nil
-}
-
 // Source is one sorted stream feeding a k-way merge. A pair it returns
 // stays valid while the consumer is still reading the source (a merge
 // holds one head pair per source, a Grouper a whole group's values).
@@ -433,7 +359,7 @@ func (s *WireSource) field() ([]byte, error) {
 	if pos < len(buf) && buf[pos] < 0x80 {
 		l, w = uint64(buf[pos]), 1
 	} else {
-		l, w = binary.Uvarint(buf[pos:])
+		l, w = uvarint(buf[pos:])
 	}
 	if w <= 0 {
 		return nil, fmt.Errorf("kvio: bad length at %d", pos)

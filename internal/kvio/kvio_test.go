@@ -7,13 +7,9 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
-	"runtime"
 	"slices"
 	"sort"
 	"testing"
-	"testing/iotest"
 	"testing/quick"
 )
 
@@ -61,35 +57,37 @@ func TestWireSizeMatchesEncoding(t *testing.T) {
 	}
 }
 
-func TestFileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "run")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	kw := GetRun()
-	defer kw.Release()
-	kw.Begin(f)
+// TestRunAppendWireRoundTrip: the unindexed appends lay pairs down
+// exactly as AppendKV encodes them, index nothing, and after Reserve
+// take the reserved bytes without allocating.
+func TestRunAppendWireRoundTrip(t *testing.T) {
 	const n = 500
+	var want []byte
 	for i := 0; i < n; i++ {
-		if err := kw.WriteKV([]byte{byte(i)}, []byte{byte(i), byte(i >> 4)}); err != nil {
-			t.Fatal(err)
+		want = AppendKV(want, []byte{byte(i)}, []byte{byte(i), byte(i >> 4)})
+	}
+	r := GetRun()
+	defer r.Release()
+	r.Reserve(len(want))
+	allocs := testing.AllocsPerRun(1, func() {
+		r.Reset()
+		for i := 0; i < n; i++ {
+			if i%2 == 0 {
+				r.AppendWireKV([]byte{byte(i)}, []byte{byte(i), byte(i >> 4)})
+			} else {
+				r.AppendWire(AppendKV(make([]byte, 0, 8), []byte{byte(i)}, []byte{byte(i), byte(i >> 4)}))
+			}
 		}
+	})
+	if !bytes.Equal(r.Bytes(), want) || r.Size() != len(want) || r.Len() != 0 {
+		t.Fatalf("%d bytes, %d pairs indexed; want %d bytes, none indexed", r.Size(), r.Len(), len(want))
 	}
-	if err := kw.Flush(); err != nil {
-		t.Fatal(err)
+	if allocs != 0 {
+		t.Errorf("%v allocations appending into a reserved run", allocs)
 	}
-	if kw.Written() == 0 {
-		t.Error("Written is zero")
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		t.Fatal(err)
-	}
-	kr := NewReader(f)
+	s := &WireSource{Buf: r.Bytes()}
 	for i := 0; i < n; i++ {
-		p, err := kr.Next()
+		p, err := s.Next()
 		if err != nil {
 			t.Fatalf("pair %d: %v", i, err)
 		}
@@ -97,7 +95,7 @@ func TestFileRoundTrip(t *testing.T) {
 			t.Errorf("pair %d key %v", i, p.Key)
 		}
 	}
-	if _, err := kr.Next(); err != io.EOF {
+	if _, err := s.Next(); err != io.EOF {
 		t.Errorf("expected EOF, got %v", err)
 	}
 }
@@ -387,22 +385,10 @@ func TestDecodeAllIntoReusesBacking(t *testing.T) {
 	}
 }
 
-// countingReader counts the bytes handed out, so a test can bound what
-// a Reader allocated against what the run really held.
-type countingReader struct {
-	r io.Reader
-	n int
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += n
-	return n, err
-}
-
 // TestReaderHostileLengths: a run whose headers lie about payload
-// lengths must end in the run-truncated errors without the Reader ever
-// allocating for the claim — memory follows the bytes that arrive.
+// lengths must end, after its good leading pair, in CountPairs' error
+// from WireSource (the reader of every run's bytes), without allocating
+// for the claim.
 func TestReaderHostileLengths(t *testing.T) {
 	huge := binary.AppendUvarint(nil, 1<<40)
 	pair := AppendKV(nil, []byte("key"), []byte("value"))
@@ -412,104 +398,60 @@ func TestReaderHostileLengths(t *testing.T) {
 		run  []byte
 		want string // error text after the good leading pair
 	}{
-		{"huge key length", append(slices.Clone(huge), present...), "kvio: run truncated key: unexpected EOF"},
-		{"huge key length, no payload", huge, "kvio: run truncated key: EOF"},
-		{"huge value length", append(append([]byte{3, 'k', 'e', 'y'}, huge...), present...), "kvio: run truncated value: unexpected EOF"},
-		{"key length cut mid-varint", huge[:3], "kvio: run key length: unexpected EOF"},
-		{"value length cut mid-varint", append([]byte{3, 'k', 'e', 'y'}, huge[:3]...), "kvio: run truncated value length: unexpected EOF"},
-		{"EOF between key and value", []byte{3, 'k', 'e', 'y'}, "kvio: run truncated value length: EOF"},
-		{"key cut short", []byte{3, 'k'}, "kvio: run truncated key: unexpected EOF"},
-		{"value cut short", []byte{3, 'k', 'e', 'y', 5, 'v'}, "kvio: run truncated value: unexpected EOF"},
-		{"length overflows 64 bits", bytes.Repeat([]byte{0xFF}, 11), "kvio: run key length: binary: varint overflows a 64-bit integer"},
+		{"huge key length", append(slices.Clone(huge), present...), "kvio: truncated payload at 16"},
+		{"huge key length, no payload", huge, "kvio: truncated payload at 16"},
+		{"huge value length", append(append([]byte{3, 'k', 'e', 'y'}, huge...), present...), "kvio: truncated payload at 20"},
+		{"key length cut mid-varint", huge[:3], "kvio: bad length at 10"},
+		{"value length cut mid-varint", append([]byte{3, 'k', 'e', 'y'}, huge[:3]...), "kvio: bad length at 14"},
+		{"EOF between key and value", []byte{3, 'k', 'e', 'y'}, "kvio: bad length at 14"},
+		{"key cut short", []byte{3, 'k'}, "kvio: truncated payload at 11"},
+		{"value cut short", []byte{3, 'k', 'e', 'y', 5, 'v'}, "kvio: truncated payload at 15"},
+		{"length overflows 64 bits", bytes.Repeat([]byte{0xFF}, 11), "kvio: bad length at 10"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			run := append(slices.Clone(pair), c.run...)
 			read := func() error {
-				kr := NewReader(bytes.NewReader(run))
-				if p, err := kr.Next(); err != nil || string(p.Key) != "key" || string(p.Value) != "value" {
+				s := &WireSource{Buf: run}
+				if p, err := s.Next(); err != nil || string(p.Key) != "key" || string(p.Value) != "value" {
 					t.Fatalf("leading pair = %q, %v", p, err)
 				}
-				_, err := kr.Next()
+				_, err := s.Next()
 				return err
 			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
 			err := read()
-			runtime.ReadMemStats(&after)
 			if err == nil || err.Error() != c.want {
 				t.Errorf("error = %v, want %s", err, c.want)
 			}
-			// Doubling reads cost at most ~3x the bytes present, plus
-			// the bufio buffer and one chunk.
-			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(3*len(run)+256<<10); got > limit {
-				t.Errorf("allocated %d bytes reading a %d-byte run, limit %d", got, len(run), limit)
+			if _, want := CountPairs(run); want == nil || want.Error() != c.want {
+				t.Errorf("CountPairs error = %v, want %s", want, c.want)
 			}
-			if allocs := testing.AllocsPerRun(5, func() { _ = read() }); allocs > 40 {
-				t.Errorf("%v allocations per read, want a handful", allocs)
+			// The error itself is all a read allocates.
+			if allocs := testing.AllocsPerRun(5, func() { _ = read() }); allocs > 3 {
+				t.Errorf("%v allocations per read, want the error's alone", allocs)
 			}
 		})
 	}
 }
 
-// TestReaderLongPayloads: payloads longer than one chunk arrive whole,
-// whatever the underlying reader's read sizes.
-func TestReaderLongPayloads(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var run []byte
-	var want []KV
-	for _, n := range []int{0, 1, readerChunkMin, readerChunkMax - 1, readerChunkMax, readerChunkMax + 1, 5*readerChunkMax + 7, 1 << 20} {
-		p := KV{Key: make([]byte, n%300), Value: make([]byte, n)}
-		rng.Read(p.Key)
-		rng.Read(p.Value)
-		want = append(want, p, KV{Key: p.Value, Value: p.Key})
-		run = AppendKV(run, p.Key, p.Value)
-		run = AppendKV(run, p.Value, p.Key)
-	}
-	src := &countingReader{r: iotest.OneByteReader(bytes.NewReader(run))}
-	kr := NewReader(src)
-	for i, w := range want {
-		p, err := kr.Next()
-		if err != nil {
-			t.Fatalf("pair %d: %v", i, err)
-		}
-		if !bytes.Equal(p.Key, w.Key) || !bytes.Equal(p.Value, w.Value) {
-			t.Fatalf("pair %d (key %d bytes, value %d bytes) came back different", i, len(w.Key), len(w.Value))
-		}
-	}
-	if _, err := kr.Next(); err != io.EOF {
-		t.Errorf("after the last pair: %v, want io.EOF", err)
-	}
-	if src.n != len(run) {
-		t.Errorf("read %d of %d bytes", src.n, len(run))
-	}
-}
-
-// TestGrouperOverReaderKeepsGroupIntact: a Grouper hands a whole group
-// back at once, so every value a Reader produced must survive the
-// Reader's later Next calls — here 10 000 of them, across many chunks
-// and two runs, with the following group already read ahead.
-func TestGrouperOverReaderKeepsGroupIntact(t *testing.T) {
+// TestGrouperOverWireSourcesKeepsGroupIntact: a Grouper hands a whole
+// group back at once, so every value cut from a run's bytes must
+// survive the merge's later Next calls — here 10 000 of them, across
+// two runs, with the following group already read ahead.
+func TestGrouperOverWireSourcesKeepsGroupIntact(t *testing.T) {
 	const n = 10000
 	value := func(run, i int) []byte { return []byte(fmt.Sprintf("run%d-value-%06d", run, i)) }
-	var runs [2]bytes.Buffer
-	kw := GetRun()
-	defer kw.Release()
-	for r := range runs {
-		kw.Begin(&runs[r])
+	var sources []Source
+	for r := 0; r < 2; r++ {
+		run := GetRun()
+		defer run.Release()
 		for i := 0; i < n/2; i++ {
-			if err := kw.WriteKV([]byte("big"), value(r, i)); err != nil {
-				t.Fatal(err)
-			}
+			run.AppendWireKV([]byte("big"), value(r, i))
 		}
-		if err := kw.WriteKV([]byte("next"), []byte("tail")); err != nil {
-			t.Fatal(err)
-		}
-		if err := kw.Flush(); err != nil {
-			t.Fatal(err)
-		}
+		run.AppendWireKV([]byte("next"), []byte("tail"))
+		sources = append(sources, &WireSource{Buf: run.Bytes()})
 	}
-	m, err := NewMerge([]Source{NewReader(&runs[0]), NewReader(&runs[1])})
+	m, err := NewMerge(sources)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,9 @@
 package kvio
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
-	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -15,11 +13,15 @@ import (
 // kvbuffer (the wire bytes of every pair, one contiguous arena in
 // arrival order) and kvmeta (a fixed-width index over it). It is what a
 // Hadoop map task collects into, what a DataMPI A task caches received
-// blocks in, what the DataMPI combiner groups a Send Partition List
-// block in, and where a Hadoop reduce task copies its segments to.
+// blocks in, and what the DataMPI combiner groups a Send Partition List
+// block in. It is also every sorted run either engine writes out: a
+// Hadoop spill or map output (file.out), and a DataMPI A-side spill,
+// are runs appended to with AppendWire or AppendWireKV and read back
+// through Bytes. No run is ever a host file: the model charges disk
+// time from the byte counts, not from a file.
 //
 // Sort permutes the index only, under the caller's comparison; the run
-// then writes its pairs out of the arena in index order, or is merged
+// then copies its pairs out of the arena in index order, or is merged
 // as a Source. Nothing in the arena or the index holds a pointer, so the
 // collector sees a handful of objects however many pairs a run holds.
 // Runs come from a process-wide pool (GetRun) and go back to it with
@@ -28,10 +30,6 @@ type Run struct {
 	arena []byte     // wire-encoded pairs (and raw segments) in arrival order
 	index []RunEntry // one entry per appended pair
 	vals  [][]byte   // the values of the current group, reused across groups
-
-	out *bufio.Writer // the file being written, Reset per Begin
-	n   int64         // bytes written to it so far
-	enc []byte        // wire scratch for pairs not written out of the arena
 }
 
 // RunEntry locates one pair in a Run's arena. The pair's wire bytes
@@ -59,13 +57,10 @@ func GetRun() *Run {
 }
 
 // Release empties the run and hands it back to the pool. The pooled run
-// keeps its capacity and nothing else: no pair, no file. Every pair and
-// segment cut from the run is dead once it is released.
+// keeps its capacity and nothing else. Every pair and segment cut from
+// the run is dead once it is released.
 func (r *Run) Release() {
 	r.Reset()
-	if r.out != nil {
-		r.out.Reset(nil)
-	}
 	runsOut.Add(-1)
 	runPool.Put(r)
 }
@@ -234,52 +229,22 @@ func (s *runSource) Next() (KV, error) {
 	return KV{Key: s.r.Key(e), Value: s.r.Value(e)}, nil
 }
 
-// Begin points the run's writer at w, the run file about to be written.
-// The writer's buffer is pooled with the run.
-func (r *Run) Begin(w io.Writer) {
-	if r.out == nil {
-		r.out = bufio.NewWriterSize(w, 64<<10)
-	} else {
-		r.out.Reset(w)
-	}
-	r.n = 0
-}
+// Reserve makes room for n more arena bytes at once, so a run about to
+// take a known amount of output (a spill: the sort buffer's size; a
+// merge: the sum of its inputs) is not grown by doubling.
+func (r *Run) Reserve(n int) { r.arena = slices.Grow(r.arena, n) }
 
-// Write writes wire bytes (typically Wire of an entry) to the file.
-func (r *Run) Write(p []byte) error {
-	n, err := r.out.Write(p)
-	r.n += int64(n)
-	return err
-}
+// AppendWire appends wire bytes (typically Wire of another run's entry)
+// to the arena without indexing them: the run is then an output, read
+// back through Bytes.
+func (r *Run) AppendWire(p []byte) { r.arena = append(r.arena, p...) }
 
-// WriteKV encodes one pair to the file.
-func (r *Run) WriteKV(key, value []byte) error {
-	r.enc = AppendKV(r.enc[:0], key, value)
-	return r.Write(r.enc)
-}
+// AppendWireKV encodes one pair onto the arena without indexing it, as
+// AppendWire does with wire bytes.
+func (r *Run) AppendWireKV(key, value []byte) { r.arena = AppendKV(r.arena, key, value) }
 
-// Flush drains the writer's buffer into the file.
-func (r *Run) Flush() error { return r.out.Flush() }
-
-// Written is the number of bytes written since Begin.
-func (r *Run) Written() int64 { return r.n }
-
-// CreateRunFile creates a run file in dir: the first step of the one
-// lifecycle every sorted run on local disk has — created here, written
-// through a Run, then read back in place or promoted as it stands (a
-// Hadoop task's lone spill becomes its file.out), and finally handed to
-// DiscardRunFile, on success and on every failure path alike.
-func CreateRunFile(dir, pattern string) (*os.File, error) {
-	return os.CreateTemp(dir, pattern)
-}
-
-// DiscardRunFile closes and deletes a run file; nil is a no-op. A
-// failure only leaks a temp file, so it is not reported.
-func DiscardRunFile(f *os.File) {
-	if f == nil {
-		return
-	}
-	name := f.Name()
-	f.Close()
-	os.Remove(name)
-}
+// Bytes is the arena: every pair and segment appended since the last
+// Reset, in arrival order, capped so an append by the caller cannot
+// reach past it. Its contents stay put until the run is Reset or
+// released.
+func (r *Run) Bytes() []byte { return r.arena[:len(r.arena):len(r.arena)] }

@@ -121,7 +121,8 @@ func TestRunAppendBlockRejectsDamage(t *testing.T) {
 	if _, err := r.AppendBlock(good); err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range [][]byte{{0x80}, {0x05, 'a'}, append(append([]byte(nil), good...), 0x01)} {
+	// The last block's key length is a non-minimal varint for 1.
+	for _, bad := range [][]byte{{0x80}, {0x05, 'a'}, append(append([]byte(nil), good...), 0x01), {0x81, 0x00, 'k', 0x00}} {
 		_, want := CountPairs(bad)
 		if _, err := r.AppendBlock(bad); err == nil || err.Error() != want.Error() {
 			t.Errorf("AppendBlock(%x) = %v, want %v", bad, err, want)

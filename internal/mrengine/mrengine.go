@@ -73,7 +73,6 @@ func (e *Engine) Run(env *exec.Env, stage *exec.Stage, conf exec.EngineConf) (*e
 		SortBufferBytes: conf.SortBufferBytes,
 		MapSlots:        conf.MaxSlots(),
 		ReduceSlots:     conf.MaxSlots(),
-		SpillDir:        conf.SpillDir,
 		Hosts:           hosts,
 		MaxAttempts:     conf.MaxTaskAttempts,
 	})

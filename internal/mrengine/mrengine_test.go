@@ -20,7 +20,6 @@ func testEnv() *exec.Env {
 
 func testConf(t *testing.T) exec.EngineConf {
 	conf := exec.DefaultEngineConf()
-	conf.SpillDir = t.TempDir()
 	conf.Slaves = []string{"n1", "n2", "n3"}
 	conf.SlotsPerNode = 2
 	return conf

@@ -26,7 +26,6 @@ func runAggregate(t *testing.T, engine exec.Engine, mut func(*exec.EngineConf)) 
 			"slave5", "slave6", "slave7"},
 	})}
 	conf := exec.DefaultEngineConf()
-	conf.SpillDir = t.TempDir()
 	if mut != nil {
 		mut(&conf)
 	}

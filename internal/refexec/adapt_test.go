@@ -28,7 +28,6 @@ func newAdaptDriver(t *testing.T, adaptive bool) *hive.Driver {
 		Nodes:     []string{"s1", "s2", "s3", "s4"},
 	})}
 	conf := exec.DefaultEngineConf()
-	conf.SpillDir = t.TempDir()
 	conf.Slaves = []string{"s1", "s2", "s3", "s4"}
 	conf.SlotsPerNode = 2
 	conf.BytesPerReducer = 8 << 10

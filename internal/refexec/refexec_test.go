@@ -30,7 +30,6 @@ func newLoadedDriver(t *testing.T, sf tpch.ScaleFactor, seed int64, format strin
 		Nodes:     []string{"s1", "s2", "s3", "s4"},
 	})}
 	conf := exec.DefaultEngineConf()
-	conf.SpillDir = t.TempDir()
 	conf.Slaves = []string{"s1", "s2", "s3", "s4"}
 	conf.SlotsPerNode = 2
 	d := hive.NewDriver(env, core.New(), conf)
@@ -241,7 +240,6 @@ func TestEnhancedParallelismPreservesResults(t *testing.T) {
 		Nodes:     []string{"s1", "s2", "s3", "s4"},
 	})}
 	conf := exec.DefaultEngineConf()
-	conf.SpillDir = t.TempDir()
 	conf.Slaves = []string{"s1", "s2", "s3", "s4"}
 	conf.SlotsPerNode = 2
 	conf.Parallelism = exec.ParallelismEnhanced

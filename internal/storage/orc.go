@@ -186,7 +186,7 @@ func (ow *orcWriter) flushStripe() error {
 		if err := fw.Close(); err != nil {
 			return err
 		}
-		meta.Stats[ci] = cb.stats()
+		meta.Stats[ci] = cb.footerStat()
 	}
 	meta.Length = int64(ow.stripe.Len())
 	meta.ColOffsets[len(ow.cols)] = meta.Length

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"hivempi/internal/types"
 	"hivempi/internal/vec"
@@ -353,6 +354,20 @@ func (cb *colBuilder) stats() orcColStat {
 		}
 	}
 	return orcColStat{Min: toJSONDatum(lo), Max: toJSONDatum(hi), Nulls: int64(cb.nulls)}
+}
+
+// footerStat is stats as the footer records it. A float stripe holding
+// a NaN, or an infinite bound, records NULL bounds, which matchesRange
+// reads as "cannot prune": the JSON footer has no NaN or infinity, and
+// types.Compare orders a NaN equal to every value, so a predicate keeps
+// NaN rows that finite bounds would have pruned.
+func (cb *colBuilder) footerStat() orcColStat {
+	st := cb.stats()
+	if cb.kind == types.KindFloat && len(cb.floats) > 0 &&
+		(math.IsInf(st.Min.F, 0) || math.IsInf(st.Max.F, 0) || slices.ContainsFunc(cb.floats, math.IsNaN)) {
+		st.Min, st.Max = jsonDatum{}, jsonDatum{}
+	}
+	return st
 }
 
 // minMax returns the least and greatest of vals (non-empty) under <,

@@ -22,7 +22,6 @@ func newDriver(t *testing.T, engine exec.Engine, format string) *hive.Driver {
 		Nodes:     []string{"s1", "s2", "s3", "s4"},
 	})}
 	conf := exec.DefaultEngineConf()
-	conf.SpillDir = t.TempDir()
 	conf.Slaves = []string{"s1", "s2", "s3", "s4"}
 	conf.SlotsPerNode = 2
 	d := hive.NewDriver(env, engine, conf)
