@@ -60,11 +60,15 @@ soak:
 # fuzz runs each native fuzz target for FUZZTIME, starting from its
 # committed seed corpus (testdata/fuzz/<target>): the parsers of
 # shuffle bytes, WireSource and Run.AppendBlock (CountPairs is checked
-# inside both). `go test` alone replays the seeds as ordinary tests.
+# inside both), and the reduce side's decoders of shuffled values and
+# keys, RowSlab.AppendRow and DecodeKeyDatumBytes. `go test` alone
+# replays the seeds as ordinary tests.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireSource$$' -fuzztime $(FUZZTIME) ./internal/kvio/
 	$(GO) test -run '^$$' -fuzz '^FuzzRunAppendBlock$$' -fuzztime $(FUZZTIME) ./internal/kvio/
+	$(GO) test -run '^$$' -fuzz '^FuzzRowSlabAppendRow$$' -fuzztime $(FUZZTIME) ./internal/types/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeKeyDatumBytes$$' -fuzztime $(FUZZTIME) ./internal/types/
 
 # bench runs the shuffle hot-path microbenchmarks (kvio framing, sort
 # and merge, MPI_D_Send, dfs memory tier, the Hadoop map-output and

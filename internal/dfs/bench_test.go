@@ -61,3 +61,28 @@ func BenchmarkWriteReadMemTier(b *testing.B) {
 		b.Fatal("memory tier never admitted the file")
 	}
 }
+
+// BenchmarkWriterBlocks writes a four-block file in 4 KiB chunks, the
+// way the table writers fill a part file.
+func BenchmarkWriterBlocks(b *testing.B) {
+	fs := benchFS()
+	chunk := make([]byte, 4<<10)
+	const size = 4 * (64 << 10)
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w, err := fs.CreateOverwrite("/tmp/hive/ctas/part-00000")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for n := 0; n < size; n += len(chunk) {
+			if _, err := w.Write(chunk); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

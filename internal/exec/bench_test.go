@@ -144,6 +144,62 @@ func BenchmarkGroupByPartial(b *testing.B) {
 	}
 }
 
+// benchZipfBatches builds a HiBench AGGREGATE-shaped task input:
+// nBatches full batches of (sourceIP string, adRevenue double) whose
+// keys follow a Zipf law over 1<<20 addresses.
+func benchZipfBatches(nBatches int) []*vec.Batch {
+	rng := rand.New(rand.NewSource(5))
+	zipf := rand.NewZipf(rng, 1.05, 1, 1<<20)
+	batches := make([]*vec.Batch, nBatches)
+	for i := range batches {
+		b := &vec.Batch{N: vec.DefaultSize, Cols: []*vec.Vector{
+			vec.NewVector(types.KindString, vec.DefaultSize),
+			vec.NewVector(types.KindFloat, vec.DefaultSize),
+		}}
+		for lane := 0; lane < b.N; lane++ {
+			b.Cols[0].Str[lane] = fmt.Sprintf("10.%d.%d.%d", zipf.Uint64()>>16, zipf.Uint64()>>8&0xFF, zipf.Uint64()&0xFF)
+			b.Cols[1].F64[lane] = rng.Float64() * 100
+		}
+		batches[i] = b
+	}
+	return batches
+}
+
+// BenchmarkGroupByPartialManyGroups is one map task of
+// SELECT sourceip, sum(adrevenue) ... GROUP BY sourceip over Zipf keys:
+// 32 batches with about 12k distinct keys, and a table that fills once
+// in the middle of the task.
+func BenchmarkGroupByPartialManyGroups(b *testing.B) {
+	batches := benchZipfBatches(32)
+	op := &GroupByPartialOp{Keys: []Expr{col(0)}, Aggs: []AggSpec{{Kind: AggSum, Arg: col(1)}}, MaxEntries: 10000}
+	run := func() int {
+		rows := 0
+		c, err := buildChain(nil, []MapOp{op}, func(out *vec.Batch) error { rows += out.N; return nil })
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, batch := range batches {
+			if err := c.process(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := c.close(); err != nil {
+			b.Fatal(err)
+		}
+		return rows
+	}
+	// One flush in the middle: more rows than the table holds, fewer
+	// than two full tables.
+	if rows := run(); rows <= op.MaxEntries || rows >= 2*op.MaxEntries {
+		b.Fatalf("%d rows out of a %d-entry table: not one mid-task flush", rows, op.MaxEntries)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
 // benchJoinGroup is a Q3-shaped join group: one left row (a string
 // and a date) meeting n right rows (a string, an int, a float).
 func benchJoinGroup(n int) (*ReduceWork, []byte, [][]byte) {

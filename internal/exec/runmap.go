@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"hivempi/internal/chaos"
 	"hivempi/internal/dfs"
@@ -261,18 +260,20 @@ func appendLaneKey(buf []byte, keyVs []vec.Vector, lane int, descs []bool) ([]by
 type datumBatcher struct {
 	out  *vec.Batch
 	n    int
+	size int // rows per batch
 	next batchSink
 }
 
-func newDatumBatcher(width int, next batchSink) *datumBatcher {
-	p := &datumBatcher{out: vec.Get(width), next: next}
+// newDatumBatcher packs rows of width columns into batches of size.
+func newDatumBatcher(width, size int, next batchSink) *datumBatcher {
+	p := &datumBatcher{out: vec.Get(width), size: size, next: next}
 	p.reset()
 	return p
 }
 
 func (p *datumBatcher) reset() {
 	for _, v := range p.out.Cols {
-		v.Reset(vec.KindAny, vec.DefaultSize)
+		v.Reset(vec.KindAny, p.size)
 	}
 	p.n = 0
 }
@@ -283,7 +284,7 @@ func (p *datumBatcher) set(c int, d types.Datum) { p.out.Cols[c].SetDatum(p.n, d
 // endRow completes the row being packed.
 func (p *datumBatcher) endRow() error {
 	p.n++
-	if p.n == vec.DefaultSize {
+	if p.n == p.size {
 		return p.flush()
 	}
 	return nil
@@ -388,7 +389,7 @@ func newMapJoinProbe(env *Env, op *MapJoinOp, next batchSink) (batchSink, error)
 		if err := evalKernels(keyKs, b, keyVs); err != nil {
 			return err
 		}
-		out := newDatumBatcher(len(b.Cols)+smallWidth, next)
+		out := newDatumBatcher(len(b.Cols)+smallWidth, vec.DefaultSize, next)
 		defer out.release()
 		emit := func(lane int, small types.Row) error {
 			for c, v := range b.Cols {
@@ -428,9 +429,13 @@ func newMapJoinProbe(env *Env, op *MapJoinOp, next batchSink) (batchSink, error)
 	}, nil
 }
 
-// newPartialAgg is map-side hash aggregation: key and argument
-// expressions evaluate per batch, then each lane updates its group's
-// AggStates.
+// newPartialAgg is map-side hash aggregation over one pooled aggSlab.
+// Each batch takes two passes: every lane's encoded key resolves to a
+// group id (a new key appends a slab row), then each aggregate folds
+// its argument column into the states of those groups. The table
+// flushes right after the lane whose new group fills it to MaxEntries:
+// the lanes up to it fold, the groups leave in the byte order of their
+// encoded keys, and the rest of the batch starts an empty table.
 func newPartialAgg(op *GroupByPartialOp, next batchSink) (batchSink, func() error) {
 	maxEntries := op.MaxEntries
 	if maxEntries <= 0 {
@@ -438,59 +443,30 @@ func newPartialAgg(op *GroupByPartialOp, next batchSink) (batchSink, func() erro
 	}
 	keyKs := compileKernels(op.Keys)
 	// CountStar has no argument expression; a nil kernel marks it and
-	// the update passes a null datum (UpdateDatum counts regardless).
+	// its fold passes a nil vector.
 	argKs := make([]kernel, len(op.Aggs))
 	for i, spec := range op.Aggs {
 		if spec.Arg != nil {
 			argKs[i] = compileKernel(spec.Arg)
 		}
 	}
-	type entry struct {
-		keys   []types.Datum
-		states []*AggState
-	}
-	groups := make(map[string]*entry)
-
+	na := len(op.Aggs)
 	width := len(op.Keys)
 	for _, spec := range op.Aggs {
 		width += spec.PartialWidth()
 	}
-	flush := func() error {
-		if len(groups) == 0 {
-			return nil
-		}
-		// Deterministic flush order for reproducibility.
-		keys := make([]string, 0, len(groups))
-		for k := range groups {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		out := newDatumBatcher(width, next)
-		defer out.release()
-		for _, k := range keys {
-			e := groups[k]
-			c := 0
-			for _, d := range e.keys {
-				out.set(c, d)
-				c++
-			}
-			for _, st := range e.states {
-				for _, d := range st.EmitPartial() {
-					out.set(c, d)
-					c++
-				}
-			}
-			if err := out.endRow(); err != nil {
-				return err
-			}
-		}
-		groups = make(map[string]*entry)
-		return out.flush()
-	}
-
+	s := aggSlabs.Get().(*aggSlab)
 	keyVs := make([]vec.Vector, len(keyKs))
 	argVs := make([]vec.Vector, len(argKs))
-	var kb []byte
+	fold := func(lo, hi int) {
+		for i := range op.Aggs {
+			var v *vec.Vector
+			if argKs[i] != nil {
+				v = &argVs[i]
+			}
+			s.fold(i, na, &op.Aggs[i], v, lo, hi)
+		}
+	}
 	process := func(b *vec.Batch) error {
 		if err := evalKernels(keyKs, b, keyVs); err != nil {
 			return err
@@ -498,35 +474,30 @@ func newPartialAgg(op *GroupByPartialOp, next batchSink) (batchSink, func() erro
 		if err := evalKernels(argKs, b, argVs); err != nil {
 			return err
 		}
+		if cap(s.gids) < b.N {
+			s.gids = make([]int32, b.N)
+		}
+		s.gids = s.gids[:b.N]
+		lo := 0
 		for lane := 0; lane < b.N; lane++ {
-			kb, _ = appendLaneKey(kb[:0], keyVs, lane, nil)
-			e, ok := groups[string(kb)]
-			if !ok {
-				e = &entry{keys: make([]types.Datum, len(keyVs)), states: make([]*AggState, len(op.Aggs))}
-				for i := range keyVs {
-					e.keys[i] = keyVs[i].Datum(lane)
-				}
-				for i, spec := range op.Aggs {
-					e.states[i] = NewAggState(spec)
-				}
-				groups[string(kb)] = e
-			}
-			for i, st := range e.states {
-				var d types.Datum
-				if argKs[i] != nil {
-					d = argVs[i].Datum(lane)
-				}
-				st.UpdateDatum(d)
-			}
-			if len(groups) >= maxEntries {
-				if err := flush(); err != nil {
+			if s.add(keyVs, lane, na) && s.groups() >= maxEntries {
+				fold(lo, lane+1)
+				if err := s.flush(op, width, next); err != nil {
 					return err
 				}
+				lo = lane + 1
 			}
 		}
+		fold(lo, b.N)
 		return nil
 	}
-	return process, flush
+	closer := func() error {
+		err := s.flush(op, width, next)
+		aggSlabs.Put(s)
+		s = nil // the next task's slab now
+		return err
+	}
+	return process, closer
 }
 
 // RunMapTask executes one map-side task: batch-scan the split, run the

@@ -31,7 +31,7 @@ type ReduceDriver struct {
 	slab    types.RowSlab
 	rowEnds []int
 	tags    []byte
-	states  []*AggState
+	states  []AggState
 	buckets [][]types.Row
 	folds   [2][]types.Row // row headers of alternate join fold steps
 }
@@ -183,14 +183,11 @@ func (d *ReduceDriver) Feed(key []byte, values [][]byte) error {
 // complete mode) and emits key ++ finals.
 func (d *ReduceDriver) feedGroupBy(op *GroupByReduce, keyRow types.Row, n int) error {
 	if d.states == nil {
-		d.states = make([]*AggState, len(op.Aggs))
-		for i, spec := range op.Aggs {
-			d.states[i] = NewAggState(spec)
-		}
+		d.states = make([]AggState, len(op.Aggs))
 	}
 	states := d.states
-	for _, st := range states {
-		st.reset()
+	for i := range states {
+		states[i].reset()
 	}
 	for v := 0; v < n; v++ {
 		row := d.row(v)
@@ -199,22 +196,18 @@ func (d *ReduceDriver) feedGroupBy(op *GroupByReduce, keyRow types.Row, n int) e
 			if len(row) != len(op.Aggs) {
 				return fmt.Errorf("exec: raw agg row width %d, want %d", len(row), len(op.Aggs))
 			}
-			for i, st := range states {
-				if op.Aggs[i].Kind == AggCountStar {
-					st.count++
-					continue
-				}
-				st.UpdateDatum(row[i])
+			for i := range states {
+				states[i].Update(&op.Aggs[i], row[i])
 			}
 			continue
 		}
 		pos := 0
-		for i, st := range states {
+		for i := range states {
 			w := op.Aggs[i].PartialWidth()
 			if pos+w > len(row) {
 				return fmt.Errorf("exec: partial agg row too narrow (%d < %d)", len(row), pos+w)
 			}
-			if err := st.MergePartial(row[pos : pos+w]); err != nil {
+			if err := states[i].MergePartial(&op.Aggs[i], row[pos:pos+w]); err != nil {
 				return err
 			}
 			pos += w
@@ -222,8 +215,8 @@ func (d *ReduceDriver) feedGroupBy(op *GroupByReduce, keyRow types.Row, n int) e
 	}
 	out := make(types.Row, 0, len(keyRow)+len(states))
 	out = append(out, keyRow...)
-	for _, st := range states {
-		out = append(out, st.Final())
+	for i := range states {
+		out = append(out, states[i].Final(&op.Aggs[i]))
 	}
 	if d.metrics != nil {
 		d.metrics.ReduceGroups++

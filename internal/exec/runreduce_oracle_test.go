@@ -13,14 +13,15 @@ import (
 
 // The reference below is the reduce driver as it was before a group
 // decoded into one slab: one types.Row and one string per value, one
-// fresh row per join output. It is the oracle the slab driver is held
+// fresh row per join output, and one *refAggState per aggregate
+// (runmap_oracle_test.go). It is the oracle the slab driver is held
 // to, byte for byte, with a sink that keeps every row it is given.
 
 type refReduceDriver struct {
 	work    *ReduceWork
 	post    RowSink
 	keyRow  types.Row
-	states  []*AggState
+	states  []*refAggState
 	buckets [][]types.Row
 }
 
@@ -178,9 +179,9 @@ func (d *refReduceDriver) Feed(key []byte, values [][]byte) error {
 
 func (d *refReduceDriver) feedGroupBy(op *GroupByReduce, keyRow types.Row, values [][]byte) error {
 	if d.states == nil {
-		d.states = make([]*AggState, len(op.Aggs))
+		d.states = make([]*refAggState, len(op.Aggs))
 		for i, spec := range op.Aggs {
-			d.states[i] = NewAggState(spec)
+			d.states[i] = newRefAggState(spec)
 		}
 	}
 	states := d.states

@@ -200,8 +200,10 @@ func AppendKeyDatum(buf []byte, d Datum, desc bool) []byte {
 		buf = append(buf, tmp[:]...)
 	case KindFloat:
 		buf = append(buf, 0x01)
+		// By the sign bit, not d.F >= 0: -0.0 and the NaNs then map
+		// one to one onto the key bytes and decode back bit for bit.
 		bits := math.Float64bits(d.F)
-		if d.F >= 0 || bits == 0 {
+		if bits&(1<<63) == 0 {
 			bits ^= 1 << 63
 		} else {
 			bits = ^bits

@@ -237,6 +237,31 @@ func TestKeyCodecPreservesOrder(t *testing.T) {
 	}
 }
 
+// TestKeyFloatSignsOrderAndRoundTrip: float keys order by value with
+// -0.0 just before +0.0 (they were once encoded so that -0.0 sorted
+// before -Inf and decoded as NaN), and every double, NaNs included,
+// decodes back bit for bit in both directions.
+func TestKeyFloatSignsOrderAndRoundTrip(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	ordered := []float64{math.Inf(-1), -1e308, -1, -math.SmallestNonzeroFloat64, negZero, 0,
+		math.SmallestNonzeroFloat64, 1, 1e308, math.Inf(1)}
+	for _, desc := range []bool{false, true} {
+		for i := 1; i < len(ordered); i++ {
+			lo := AppendKeyDatum(nil, Float(ordered[i-1]), desc)
+			hi := AppendKeyDatum(nil, Float(ordered[i]), desc)
+			if c := bytes.Compare(lo, hi); (c >= 0) != desc {
+				t.Errorf("desc %v: key of %v vs %v compares %d", desc, ordered[i-1], ordered[i], c)
+			}
+		}
+		for _, f := range append(ordered, math.NaN(), -math.NaN(), math.Float64frombits(0x7FF0000000000001)) {
+			d, _, err := DecodeKeyDatum(AppendKeyDatum(nil, Float(f), desc), KindFloat, desc)
+			if err != nil || math.Float64bits(d.F) != math.Float64bits(f) {
+				t.Errorf("desc %v: %v (%x) decodes to %v (%x), %v", desc, f, math.Float64bits(f), d.F, math.Float64bits(d.F), err)
+			}
+		}
+	}
+}
+
 func sign(x int) int {
 	switch {
 	case x < 0:
