@@ -78,8 +78,6 @@ type combinerStats struct {
 // adaptations. Safe for concurrent use: the DAG scheduler calls
 // Observe/Decide from concurrently running stage goroutines.
 type Runtime struct {
-	// CVThreshold gates repartitioning (<=0 = DefaultCVThreshold).
-	CVThreshold float64
 	// Cluster, when set, supplies node states for placement and
 	// predictive speculation.
 	Cluster *cluster.Membership
@@ -93,17 +91,13 @@ type Runtime struct {
 	nodeSlow map[string]bool  // hosts with observed straggler delay
 }
 
-// New builds a runtime with the given CV threshold (<=0 = default).
-func New(cvThreshold float64) *Runtime {
-	if cvThreshold <= 0 {
-		cvThreshold = DefaultCVThreshold
-	}
+// New builds a runtime with no observations.
+func New() *Runtime {
 	return &Runtime{
-		CVThreshold: cvThreshold,
-		byDir:       make(map[string]*producerStats),
-		byStage:     make(map[string]*combinerStats),
-		nodeLoad:    make(map[string]int64),
-		nodeSlow:    make(map[string]bool),
+		byDir:    make(map[string]*producerStats),
+		byStage:  make(map[string]*combinerStats),
+		nodeLoad: make(map[string]int64),
+		nodeSlow: make(map[string]bool),
 	}
 }
 
@@ -356,7 +350,7 @@ func (rt *Runtime) repartitionLocked(stage *exec.Stage, conf *exec.EngineConf) *
 	var stats *producerStats
 	for i := range stage.Maps {
 		s := rt.byDir[stage.Maps[i].Input.Dir]
-		if s == nil || s.cv < rt.CVThreshold {
+		if s == nil || s.cv < DefaultCVThreshold {
 			continue
 		}
 		if stats == nil || totalOf(s.partBytes) > totalOf(stats.partBytes) {

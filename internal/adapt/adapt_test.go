@@ -58,7 +58,7 @@ func consumerStage(dir string, numReds int) *exec.Stage {
 // those ranks must land on distinct hosts (the ISSUE's unit test).
 func TestHeavyPartitionSplitsOntoDistinctRanks(t *testing.T) {
 	defer leakcheck.Check(t)()
-	rt := New(0)
+	rt := New()
 	conf := testConf()
 	observeProducer(rt, "tmp/skew", []int64{1000, 100, 100, 100})
 
@@ -103,7 +103,7 @@ func TestHeavyPartitionSplitsOntoDistinctRanks(t *testing.T) {
 // over its target ranks.
 func TestPartitionSpreadsKeysDeterministically(t *testing.T) {
 	defer leakcheck.Check(t)()
-	rt := New(0)
+	rt := New()
 	conf := testConf()
 	observeProducer(rt, "tmp/spread", []int64{1000, 100, 100, 100})
 	stage := consumerStage("tmp/spread", 4)
@@ -134,7 +134,7 @@ func TestPartitionSpreadsKeysDeterministically(t *testing.T) {
 // a shared rank.
 func TestLightPartitionsFuse(t *testing.T) {
 	defer leakcheck.Check(t)()
-	rt := New(0)
+	rt := New()
 	conf := testConf()
 	// 2 slots: the heavy bucket cannot split, so the light buckets'
 	// fusion is the whole rewrite and the consumer count shrinks.
@@ -164,7 +164,7 @@ func TestLightPartitionsFuse(t *testing.T) {
 // geometry.
 func TestBalancedInputNotRepartitioned(t *testing.T) {
 	defer leakcheck.Check(t)()
-	rt := New(0)
+	rt := New()
 	conf := testConf()
 	observeProducer(rt, "tmp/flat", []int64{100, 110, 100, 120})
 	stage := consumerStage("tmp/flat", 4)
@@ -177,7 +177,7 @@ func TestBalancedInputNotRepartitioned(t *testing.T) {
 // partition map.
 func TestEligibilityGates(t *testing.T) {
 	defer leakcheck.Check(t)()
-	rt := New(0)
+	rt := New()
 	observeProducer(rt, "tmp/gate", []int64{1000, 100, 100, 100})
 
 	cases := []struct {
@@ -241,7 +241,7 @@ func TestEligibilityGates(t *testing.T) {
 // observed load.
 func TestPlacementPrefersLeastLoadedHost(t *testing.T) {
 	defer leakcheck.Check(t)()
-	rt := New(0)
+	rt := New()
 	conf := testConf()
 	rt.Observe(&exec.Stage{ID: "warm"}, &trace.Stage{Producers: []*trace.Task{
 		{Host: "n1", InputBytes: 5000},
@@ -268,7 +268,7 @@ func TestPlacementPrefersLeastLoadedHost(t *testing.T) {
 // pre-launched (predictive speculation).
 func TestPredictiveSpeculationOnSlowHost(t *testing.T) {
 	defer leakcheck.Check(t)()
-	rt := New(0)
+	rt := New()
 	conf := testConf()
 	conf.Slaves = []string{"n1", "n2"}
 	rt.Observe(&exec.Stage{ID: "warm"}, &trace.Stage{Producers: []*trace.Task{
@@ -313,7 +313,7 @@ func TestCombinerStrengthSelection(t *testing.T) {
 		}})
 	}
 
-	rt := New(0)
+	rt := New()
 	conf := testConf()
 	s := mkStage(exec.AggCount)
 	observe(rt, s, 1000, 50) // strong compression
@@ -325,21 +325,21 @@ func TestCombinerStrengthSelection(t *testing.T) {
 		t.Fatal("combiner-only adaptation must not rewrite the partition map")
 	}
 
-	rt = New(0)
+	rt = New()
 	s = mkStage(exec.AggCount)
 	observe(rt, s, 1000, 980) // high-cardinality keys: combiner useless
 	if ad := rt.Decide(s, []*exec.Stage{s}, &conf); ad == nil || ad.HashAggEntries != MinHashAggEntries {
 		t.Fatalf("non-compressing combiner: got %+v, want HashAggEntries=%d", ad, MinHashAggEntries)
 	}
 
-	rt = New(0)
+	rt = New()
 	s = mkStage(exec.AggCount)
 	observe(rt, s, 1000, 500) // unremarkable ratio: keep the plan
 	if ad := rt.Decide(s, []*exec.Stage{s}, &conf); ad != nil {
 		t.Fatalf("mid-range ratio adapted: %+v", ad)
 	}
 
-	rt = New(0)
+	rt = New()
 	s = mkStage(exec.AggSum) // float partials: never resized
 	observe(rt, s, 1000, 50)
 	if ad := rt.Decide(s, []*exec.Stage{s}, &conf); ad != nil && ad.HashAggEntries != 0 {

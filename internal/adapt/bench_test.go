@@ -13,7 +13,7 @@ import (
 // that overhead and feed BENCH_skew.json / benchdiff.
 
 func benchRuntime(parts int) (*Runtime, *exec.Stage, exec.EngineConf) {
-	rt := New(0)
+	rt := New()
 	conf := exec.DefaultEngineConf() // 7 nodes x 4 slots
 	weights := make([]int64, parts)
 	for i := range weights {
@@ -83,7 +83,7 @@ func BenchmarkObserve(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt := New(0)
+		rt := New()
 		rt.Observe(stage, st)
 	}
 }

@@ -87,8 +87,9 @@ var HotRootMethods = map[string]map[string][]string{
 	// and terminal it builds runs per batch or per lane of every scan.
 	// ReduceDriver.Feed is the reduce side's: it runs per key group on
 	// both engines, and its per-group cost must not grow per value.
+	// RunReduceTask is the one loop that feeds it, for both engines.
 	"exec": {
-		"":             {"RunMapTask"},
+		"":             {"RunMapTask", "RunReduceTask"},
 		"ReduceDriver": {"Feed"},
 	},
 	// bundle.categorize runs per stage on every bundle capture and

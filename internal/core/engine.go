@@ -17,7 +17,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"sync"
 
 	"hivempi/internal/datampi"
@@ -45,21 +44,9 @@ func (e *Engine) Name() string { return "datampi" }
 // strategy, spawns the bipartite job (the mpidrun launch of the paper)
 // and wires the operator trees into both sides.
 func (e *Engine) Run(env *exec.Env, stage *exec.Stage, conf exec.EngineConf) (*exec.StageResult, error) {
-	if err := stage.Validate(); err != nil {
-		return nil, err
-	}
-	tasks, err := exec.PlanMapTasks(env, stage, conf)
+	tasks, numA, partition, err := exec.PlanStage(env, stage, conf)
 	if err != nil {
 		return nil, err
-	}
-	inputBytes := exec.SizingBytes(stage, tasks)
-	numA := exec.ReducerCount(stage, conf, len(tasks), inputBytes)
-	ad := conf.Adaptation
-	if ad.Repartitions() {
-		// The adapt runtime re-sized the consumer side from the
-		// producer's observed partition bytes; the planned count is
-		// superseded wholesale.
-		numA = ad.NumTargets
 	}
 
 	if stage.Shuffle == nil {
@@ -88,9 +75,6 @@ func (e *Engine) Run(env *exec.Env, stage *exec.Stage, conf exec.EngineConf) (*e
 		return work, workErr
 	}
 
-	numKeys := len(stage.Maps[0].Keys)
-	partKeys := stage.Shuffle.PartitionKeys
-
 	// Host assignment per attempt. O tasks keep their planned locality
 	// and A ranks round-robin over conf.Slaves (or take the adapt
 	// runtime's skew-aware placement), but every attempt — including
@@ -106,7 +90,7 @@ func (e *Engine) Run(env *exec.Env, stage *exec.Stage, conf exec.EngineConf) (*e
 			hosts = append(hosts, liveHost(env, t.Host, t.Split.Hosts))
 		}
 		for i := 0; i < numA; i++ {
-			h := ad.HostFor(i)
+			h := conf.Adaptation.HostFor(i)
 			if h == "" && len(conf.Slaves) > 0 {
 				h = conf.Slaves[i%len(conf.Slaves)]
 			}
@@ -120,16 +104,11 @@ func (e *Engine) Run(env *exec.Env, stage *exec.Stage, conf exec.EngineConf) (*e
 		// failure is fatal to its communicator, so recovery means
 		// relaunching the job, not patching the old one.
 		hosts := attemptHosts()
-		sinks := newShardedRows(numA)
+		rows := exec.NewRowCollector(numA)
 		job, err := datampi.NewJob(datampi.Config{
-			NumO: len(tasks),
-			NumA: numA,
-			Partitioner: func(key []byte, n int) int {
-				if ad.Repartitions() {
-					return ad.Partition(key, partKeys, numKeys)
-				}
-				return exec.PartitionForKey(key, partKeys, numKeys, n)
-			},
+			NumO:            len(tasks),
+			NumA:            numA,
+			Partitioner:     partition,
 			SendBufferBytes: conf.SendBufferBytes,
 			SendQueueSize:   conf.SendQueueSize,
 			MemUsedPercent:  conf.MemUsedPercent,
@@ -150,11 +129,8 @@ func (e *Engine) Run(env *exec.Env, stage *exec.Stage, conf exec.EngineConf) (*e
 		oBody := func(o *datampi.OContext) error {
 			m := o.Metrics()
 			m.Attempts = attempt
-			if err := env.Chaos.TaskCrash(stage.ID, "o", o.Rank()); err != nil {
+			if err := exec.AdmitTask(env, stage, "o", o.Rank(), hosts[o.Rank()]); err != nil {
 				return err
-			}
-			if h := hosts[o.Rank()]; !env.NodeUp(h) {
-				return fmt.Errorf("%w: O rank %d on %s (stage %s)", exec.ErrNodeLost, o.Rank(), h, stage.ID)
 			}
 			if attempt > 1 {
 				if meta, pairs, ok := readCheckpoint(env, stage.ID, o.Rank()); ok {
@@ -201,46 +177,10 @@ func (e *Engine) Run(env *exec.Env, stage *exec.Stage, conf exec.EngineConf) (*e
 		aBody := func(a *datampi.AContext) error {
 			m := a.Metrics()
 			m.Attempts = attempt
-			if err := env.Chaos.TaskCrash(stage.ID, "a", a.Rank()); err != nil {
+			if err := exec.AdmitTask(env, stage, "a", a.Rank(), hosts[len(tasks)+a.Rank()]); err != nil {
 				return err
 			}
-			if h := hosts[len(tasks)+a.Rank()]; !env.NodeUp(h) {
-				return fmt.Errorf("%w: A rank %d on %s (stage %s)", exec.ErrNodeLost, a.Rank(), h, stage.ID)
-			}
-			if ad.MarkPredictive(a.Rank()) {
-				// Predicted-heavy partition on a suspect/slow node: the
-				// backup copy is already racing this one, so a straggler
-				// here is cut at the predictive detection latency.
-				m.PredictiveSpec = true
-			}
-			exec.ApplyStraggler(m, env.Chaos.StragglerDelay(stage.ID, "a", a.Rank()), conf)
-			out, err := exec.BuildTaskOutput(env, stage, a.Rank(), sinks.sink(a.Rank()))
-			if err != nil {
-				return err
-			}
-			driver, err := exec.NewReduceDriver(env, stage.Reduce, out.Write, m)
-			if err != nil {
-				return err
-			}
-			for {
-				key, vals, err := a.NextGroup()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					return err
-				}
-				if err := driver.Feed(key, vals); err != nil {
-					return err
-				}
-				if driver.LimitReached() {
-					break
-				}
-			}
-			if err := driver.Close(); err != nil {
-				return err
-			}
-			return out.Close()
+			return exec.RunReduceTask(env, conf, stage, "a", a.Rank(), a.NextGroup, rows, m)
 		}
 
 		if err := job.Run(oBody, aBody); err != nil {
@@ -260,60 +200,10 @@ func (e *Engine) Run(env *exec.Env, stage *exec.Stage, conf exec.EngineConf) (*e
 			SendQueueSize:  conf.SendQueueSize,
 			LaunchCommand:  cmdline,
 		}
-		if ad != nil {
-			st.AdaptSplit = ad.SplitParts
-			st.AdaptFused = ad.FusedParts
-			st.AdaptSec = ad.PlanCostSec
-		}
-		for i, m := range st.Producers {
-			m.LocalRead = tasks[i].Local
-		}
-		exec.FillSinkWriteBytes(env, stage, st)
-		return st, sinks.rows(), nil
+		exec.FinishStageTrace(env, stage, conf, tasks, st)
+		return st, rows.Rows(), nil
 	})
 }
-
-// shardedRows collects rows from concurrently running tasks without a
-// shared lock: each task appends to its own shard, and the shards are
-// merged in task order when the attempt completes. The collected rows
-// are exclusively owned by their producer (readers return fresh rows
-// per record and every operator emits newly built rows), so no
-// defensive Clone is taken.
-type shardedRows struct {
-	shards [][]types.Row
-}
-
-func newShardedRows(n int) *shardedRows {
-	return &shardedRows{shards: make([][]types.Row, n)}
-}
-
-// sink returns task i's private collector.
-func (s *shardedRows) sink(i int) exec.RowSink {
-	return func(r types.Row) error {
-		s.shards[i] = append(s.shards[i], r)
-		return nil
-	}
-}
-
-// rows merges the shards in task order.
-func (s *shardedRows) rows() []types.Row {
-	total := 0
-	for _, sh := range s.shards {
-		total += len(sh)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]types.Row, 0, total)
-	for _, sh := range s.shards {
-		out = append(out, sh...)
-	}
-	return out
-}
-
-// retryBackoffBase is the first virtual-time retry delay; subsequent
-// attempts back off exponentially (2s, 4s, 8s, ...).
-const retryBackoffBase = 2.0
 
 // liveHost returns h when the membership considers it schedulable,
 // otherwise the first UP fallback, otherwise "" (run hostless — the
@@ -330,51 +220,6 @@ func liveHost(env *exec.Env, h string, fallbacks []string) string {
 	return ""
 }
 
-// runWithRetries executes attempts of one stage until success or the
-// conf.MaxTaskAttempts budget is spent. Every attempt builds a fresh
-// sharded row collector (partial rows from failed attempts are
-// discarded) and the stage sink is wiped between attempts; recovery
-// costs — exponential backoff and injected message delay — are recorded
-// on the stage trace for the perfmodel to charge.
-func (e *Engine) runWithRetries(env *exec.Env, stage *exec.Stage, conf exec.EngineConf,
-	run func(attempt int) (*trace.Stage, []types.Row, error)) (*exec.StageResult, error) {
-	attempts := conf.MaxTaskAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var backoff, chaosDelay float64
-	var lastErr error
-	for attempt := 1; attempt <= attempts; attempt++ {
-		st, rows, err := run(attempt)
-		chaosDelay += env.Chaos.DrainVirtualDelay()
-		if err == nil {
-			st.Attempts = attempt
-			st.RetryBackoffSec = backoff
-			st.ChaosDelaySec = chaosDelay
-			// Fold exactly once per successful stage — failed attempts'
-			// partial traces are discarded with their rows.
-			metrics.FoldStage(env.Metrics, st)
-			return &exec.StageResult{Trace: st, Rows: rows}, nil
-		}
-		lastErr = err
-		// Wipe partial sink output so the retry (or a driver-level
-		// engine fallback) starts from a clean slate.
-		resetStageSink(env, stage)
-		if attempt < attempts {
-			backoff += retryBackoffBase * float64(int(1)<<(attempt-1))
-		}
-	}
-	return nil, lastErr
-}
-
-// resetStageSink removes the stage's partial output files; only this
-// stage writes under its sink directory.
-func resetStageSink(env *exec.Env, stage *exec.Stage) {
-	if stage.Sink != nil && stage.Sink.Dir != "" {
-		env.FS.DeleteDir(stage.Sink.Dir)
-	}
-}
-
 // runMapOnly executes one attempt of a map-only stage: O tasks run
 // under a slot semaphore with no A side (DataMPI spawns only the O
 // communicator).
@@ -382,7 +227,7 @@ func (e *Engine) runMapOnly(env *exec.Env, stage *exec.Stage, conf exec.EngineCo
 	tasks []exec.MapTaskSpec, attempt int) (*trace.Stage, []types.Row, error) {
 	taskMetrics := make([]*trace.Task, len(tasks))
 	errs := make([]error, len(tasks))
-	sinks := newShardedRows(len(tasks))
+	rows := exec.NewRowCollector(len(tasks))
 	sem := make(chan struct{}, conf.MaxSlots())
 	var wg sync.WaitGroup
 	for i := range tasks {
@@ -396,26 +241,12 @@ func (e *Engine) runMapOnly(env *exec.Env, stage *exec.Stage, conf exec.EngineCo
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if err := env.Chaos.TaskCrash(stage.ID, "o", i); err != nil {
+			if err := exec.AdmitTask(env, stage, "o", i, host); err != nil {
 				errs[i] = err
-				return
-			}
-			if !env.NodeUp(host) {
-				errs[i] = fmt.Errorf("%w: O rank %d on %s (stage %s)", exec.ErrNodeLost, i, host, stage.ID)
 				return
 			}
 			exec.ApplyStraggler(taskMetrics[i], env.Chaos.StragglerDelay(stage.ID, "o", i), conf)
-			out, err := exec.BuildTaskOutput(env, stage, i, sinks.sink(i))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if err := exec.RunMapTask(env, conf, stage, tasks[i].MapIdx, tasks[i].Split,
-				nil, out, taskMetrics[i]); err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = out.Close()
+			errs[i] = exec.RunMapOnlyTask(env, conf, stage, i, tasks[i], rows, taskMetrics[i])
 		}(i, host)
 	}
 	wg.Wait()
@@ -430,9 +261,6 @@ func (e *Engine) runMapOnly(env *exec.Env, stage *exec.Stage, conf exec.EngineCo
 		NumMaps:   len(tasks),
 		Producers: taskMetrics,
 	}
-	for i, m := range st.Producers {
-		m.LocalRead = tasks[i].Local
-	}
-	exec.FillSinkWriteBytes(env, stage, st)
-	return st, sinks.rows(), nil
+	exec.FinishStageTrace(env, stage, conf, tasks, st)
+	return st, rows.Rows(), nil
 }

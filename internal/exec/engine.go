@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"hivempi/internal/dfs"
-	"hivempi/internal/storage"
 	"hivempi/internal/trace"
 	"hivempi/internal/types"
-	"hivempi/internal/vec"
 )
 
 // Engine executes one plan stage. The two implementations are Hive on
@@ -182,97 +180,6 @@ func ReducerCount(stage *Stage, conf EngineConf, numMaps int, inputBytes int64) 
 		n = max
 	}
 	return n
-}
-
-// TaskOutput is one task's output: the part file of the stage's sink,
-// the driver's collector when the stage collects, or both. Map-only
-// tasks hand it batches: the part file's writer encodes them from the
-// vectors, and rows are materialized only for the collector, which
-// keeps them. Reduce tasks hand it rows.
-type TaskOutput struct {
-	writer  storage.RowWriter
-	collect RowSink
-}
-
-// BuildTaskOutput wires one task's output: when the stage has a sink, a
-// part file is created under the sink directory; when the stage
-// collects, rows are also delivered to collect (which must be
-// concurrency-safe). Close finalizes the part file.
-func BuildTaskOutput(env *Env, stage *Stage, taskID int, collect RowSink) (*TaskOutput, error) {
-	o := &TaskOutput{}
-	if stage.Sink != nil {
-		path := fmt.Sprintf("%s/part-%05d", stage.Sink.Dir, taskID)
-		w, err := storage.CreateTableFile(env.FS, path, stage.Sink.Format, stage.Sink.Schema)
-		if err != nil {
-			return nil, fmt.Errorf("exec: create sink %s: %w", path, err)
-		}
-		o.writer = w
-	}
-	if stage.Collect {
-		o.collect = collect
-	}
-	return o, nil
-}
-
-// Write delivers one row.
-func (o *TaskOutput) Write(row types.Row) error {
-	if o.writer != nil {
-		if err := o.writer.Write(row); err != nil {
-			return err
-		}
-	}
-	if o.collect != nil {
-		return o.collect(row)
-	}
-	return nil
-}
-
-// WriteBatch delivers b's rows.
-func (o *TaskOutput) WriteBatch(b *vec.Batch) error {
-	if o.writer != nil {
-		if err := o.writer.WriteBatch(b); err != nil {
-			return err
-		}
-	}
-	if o.collect != nil {
-		return o.collect.WriteBatch(b)
-	}
-	return nil
-}
-
-// Close finalizes the part file, if there is one.
-func (o *TaskOutput) Close() error {
-	if o.writer != nil {
-		return o.writer.Close()
-	}
-	return nil
-}
-
-// FillSinkWriteBytes attributes sink part-file sizes to the tasks that
-// wrote them (consumers, or producers for map-only stages). Part files
-// admitted to the memory tier are additionally counted as memory-tier
-// writes and credited as cached intermediate bytes, so the perfmodel
-// prices them at memory bandwidth.
-func FillSinkWriteBytes(env *Env, stage *Stage, st *trace.Stage) {
-	if stage.Sink == nil {
-		return
-	}
-	owner := st.Consumers
-	if len(owner) == 0 {
-		owner = st.Producers
-	}
-	for i, t := range owner {
-		path := fmt.Sprintf("%s/part-%05d", stage.Sink.Dir, i)
-		sz, err := env.FS.Size(path)
-		if err != nil {
-			continue
-		}
-		t.WriteBytes = sz
-		if env.FS.MemResident(path) {
-			t.MemWriteBytes = sz
-			t.MemoryCacheBytes += sz
-		}
-	}
 }
 
 // SizingBytes estimates a stage's logical input size for reducer

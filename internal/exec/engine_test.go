@@ -97,7 +97,7 @@ func TestBuildTaskOutputSinkAndCollect(t *testing.T) {
 		Collect: true,
 	}
 	var collected []types.Row
-	out, err := BuildTaskOutput(env, stage, 3, func(r types.Row) error {
+	out, err := buildTaskOutput(env, stage, 3, func(r types.Row) error {
 		collected = append(collected, r)
 		return nil
 	})
@@ -162,7 +162,7 @@ func TestMapOnlyTaskWritesAndCollects(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []types.Row
-	out, err := BuildTaskOutput(env, stage, 0, func(r types.Row) error { got = append(got, r); return nil })
+	out, err := buildTaskOutput(env, stage, 0, func(r types.Row) error { got = append(got, r); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,35 +71,42 @@ func NewReduceDriver(env *Env, work *ReduceWork, out RowSink, metrics *trace.Tas
 // nothing to flush on close.
 func buildPost(ops []MapOp, sink RowSink) (RowSink, error) {
 	for i := len(ops) - 1; i >= 0; i-- {
-		next := sink
 		switch op := ops[i].(type) {
 		case *FilterOp:
-			cond := op.Cond
-			sink = func(row types.Row) error {
-				d, err := cond.Eval(row)
-				if err != nil || d.IsNull() || !d.Bool() {
-					return err
-				}
-				return next(row)
-			}
+			sink = newPostFilter(op.Cond, sink)
 		case *SelectOp:
-			exprs := op.Exprs
-			sink = func(row types.Row) error {
-				out := make(types.Row, len(exprs))
-				for j, e := range exprs {
-					d, err := e.Eval(row)
-					if err != nil {
-						return err
-					}
-					out[j] = d
-				}
-				return next(out)
-			}
+			sink = newPostSelect(op.Exprs, sink)
 		default:
 			return nil, fmt.Errorf("exec: reduce post chain cannot run %T", ops[i])
 		}
 	}
 	return sink, nil
+}
+
+// newPostFilter passes on the rows cond holds for.
+func newPostFilter(cond Expr, next RowSink) RowSink {
+	return func(row types.Row) error {
+		d, err := cond.Eval(row)
+		if err != nil || d.IsNull() || !d.Bool() {
+			return err
+		}
+		return next(row)
+	}
+}
+
+// newPostSelect passes on a fresh row of exprs evaluated over each row.
+func newPostSelect(exprs []Expr, next RowSink) RowSink {
+	return func(row types.Row) error {
+		out := make(types.Row, len(exprs))
+		for j, e := range exprs {
+			d, err := e.Eval(row)
+			if err != nil {
+				return err
+			}
+			out[j] = d
+		}
+		return next(out)
+	}
 }
 
 // decodeGroup decodes the group's key and values into the slab and

@@ -74,11 +74,10 @@ type Driver struct {
 	// AdaptiveSkew enables the skew-adaptive runtime (internal/adapt):
 	// completed stages' partition statistics feed repartitioning,
 	// placement, combiner sizing and predictive speculation of
-	// downstream stages. SkewCVThreshold is hive.skew.cv.threshold
-	// (<=0 = adapt.DefaultCVThreshold).
-	AdaptiveSkew    bool
-	SkewCVThreshold float64
-	adaptRT         *adapt.Runtime
+	// downstream stages. A producer counts as skewed past
+	// adapt.DefaultCVThreshold (hive.skew.cv.threshold).
+	AdaptiveSkew bool
+	adaptRT      *adapt.Runtime
 
 	// Cluster is the node-membership failure detector (nil = no node
 	// failure domain). Attach with AttachCluster, which also wires the
@@ -441,7 +440,7 @@ func (d *Driver) adaptRuntime() *adapt.Runtime {
 		return nil
 	}
 	if d.adaptRT == nil {
-		d.adaptRT = adapt.New(d.SkewCVThreshold)
+		d.adaptRT = adapt.New()
 	}
 	d.adaptRT.Cluster = d.Cluster
 	d.adaptRT.Params = d.perfParams

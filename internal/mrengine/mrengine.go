@@ -5,14 +5,11 @@ package mrengine
 
 import (
 	"fmt"
-	"io"
-	"sync"
 
 	"hivempi/internal/exec"
 	"hivempi/internal/hadoop"
 	"hivempi/internal/metrics"
 	"hivempi/internal/trace"
-	"hivempi/internal/types"
 )
 
 // Engine executes stages on Hadoop MapReduce.
@@ -28,48 +25,21 @@ func (e *Engine) Name() string { return "hadoop" }
 
 // Run implements exec.Engine.
 func (e *Engine) Run(env *exec.Env, stage *exec.Stage, conf exec.EngineConf) (*exec.StageResult, error) {
-	if err := stage.Validate(); err != nil {
-		return nil, err
-	}
-	tasks, err := exec.PlanMapTasks(env, stage, conf)
+	tasks, numReduces, partition, err := exec.PlanStage(env, stage, conf)
 	if err != nil {
 		return nil, err
 	}
-	inputBytes := exec.SizingBytes(stage, tasks)
 	hosts := make([]string, len(tasks))
 	for i, t := range tasks {
 		hosts[i] = t.Host
 	}
-	numReduces := exec.ReducerCount(stage, conf, len(tasks), inputBytes)
-	ad := conf.Adaptation
-	if ad.Repartitions() {
-		numReduces = ad.NumTargets
-	}
-
-	var mu sync.Mutex
-	var rows []types.Row
-	collect := func(r types.Row) error {
-		mu.Lock()
-		defer mu.Unlock()
-		rows = append(rows, r.Clone())
-		return nil
-	}
-
-	numKeys := 0
-	partKeys := 0
-	if stage.Shuffle != nil {
-		numKeys = len(stage.Maps[0].Keys)
-		partKeys = stage.Shuffle.PartitionKeys
-	}
+	// A map-only stage collects from its map tasks, a shuffle stage from
+	// its reduce tasks.
+	rows := exec.NewRowCollector(max(len(tasks), numReduces))
 	job, err := hadoop.NewJob(hadoop.Config{
-		NumMaps:    len(tasks),
-		NumReduces: numReduces,
-		Partitioner: func(key []byte, n int) int {
-			if ad.Repartitions() {
-				return ad.Partition(key, partKeys, numKeys)
-			}
-			return exec.PartitionForKey(key, partKeys, numKeys, n)
-		},
+		NumMaps:         len(tasks),
+		NumReduces:      numReduces,
+		Partitioner:     partition,
 		SortBufferBytes: conf.SortBufferBytes,
 		MapSlots:        conf.MaxSlots(),
 		ReduceSlots:     conf.MaxSlots(),
@@ -80,62 +50,27 @@ func (e *Engine) Run(env *exec.Env, stage *exec.Stage, conf exec.EngineConf) (*e
 		return nil, err
 	}
 
+	// Admission checks no host: PlanMapTasks already placed map tasks
+	// on UP replicas, and reduce hosts are assigned only in the trace.
 	mapBody := func(m *hadoop.MapContext) error {
-		t := tasks[m.TaskID()]
-		if err := env.Chaos.TaskCrash(stage.ID, "map", m.TaskID()); err != nil {
+		id := m.TaskID()
+		if err := exec.AdmitTask(env, stage, "map", id, ""); err != nil {
 			return err
 		}
-		exec.ApplyStraggler(m.Metrics(), env.Chaos.StragglerDelay(stage.ID, "map", m.TaskID()), conf)
+		exec.ApplyStraggler(m.Metrics(), env.Chaos.StragglerDelay(stage.ID, "map", id), conf)
 		if stage.Shuffle == nil {
-			out, err := exec.BuildTaskOutput(env, stage, m.TaskID(), collect)
-			if err != nil {
-				return err
-			}
-			if err := exec.RunMapTask(env, conf, stage, t.MapIdx, t.Split, nil, out, m.Metrics()); err != nil {
-				return err
-			}
-			return out.Close()
+			return exec.RunMapOnlyTask(env, conf, stage, id, tasks[id], rows, m.Metrics())
 		}
-		return exec.RunMapTask(env, conf, stage, t.MapIdx, t.Split, m.Emit, nil, m.Metrics())
+		return exec.RunMapTask(env, conf, stage, tasks[id].MapIdx, tasks[id].Split, m.Emit, nil, m.Metrics())
 	}
 
 	var reduceBody hadoop.ReduceBody
 	if stage.Reduce != nil {
 		reduceBody = func(r *hadoop.ReduceContext) error {
-			if err := env.Chaos.TaskCrash(stage.ID, "reduce", r.TaskID()); err != nil {
+			if err := exec.AdmitTask(env, stage, "reduce", r.TaskID(), ""); err != nil {
 				return err
 			}
-			if ad.MarkPredictive(r.TaskID()) {
-				r.Metrics().PredictiveSpec = true
-			}
-			exec.ApplyStraggler(r.Metrics(), env.Chaos.StragglerDelay(stage.ID, "reduce", r.TaskID()), conf)
-			out, err := exec.BuildTaskOutput(env, stage, r.TaskID(), collect)
-			if err != nil {
-				return err
-			}
-			driver, err := exec.NewReduceDriver(env, stage.Reduce, out.Write, r.Metrics())
-			if err != nil {
-				return err
-			}
-			for {
-				key, vals, err := r.NextGroup()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					return err
-				}
-				if err := driver.Feed(key, vals); err != nil {
-					return err
-				}
-				if driver.LimitReached() {
-					break
-				}
-			}
-			if err := driver.Close(); err != nil {
-				return err
-			}
-			return out.Close()
+			return exec.RunReduceTask(env, conf, stage, "reduce", r.TaskID(), r.NextGroup, rows, r.Metrics())
 		}
 	}
 
@@ -152,20 +87,12 @@ func (e *Engine) Run(env *exec.Env, stage *exec.Stage, conf exec.EngineConf) (*e
 		Consumers: job.ReduceMetrics(),
 		Comm:      job.Comm(),
 	}
-	for i, m := range st.Producers {
-		m.LocalRead = tasks[i].Local
-	}
 	for i, r := range st.Consumers {
-		if h := ad.HostFor(i); h != "" && env.NodeUp(h) {
+		if h := conf.Adaptation.HostFor(i); h != "" && env.NodeUp(h) {
 			r.Host = h
 		} else if len(conf.Slaves) > 0 {
 			r.Host = conf.Slaves[i%len(conf.Slaves)]
 		}
-	}
-	if ad != nil {
-		st.AdaptSplit = ad.SplitParts
-		st.AdaptFused = ad.FusedParts
-		st.AdaptSec = ad.PlanCostSec
 	}
 	// Surface per-task re-executions at the stage level (the attempt
 	// counts themselves stay on each task for the perfmodel).
@@ -175,7 +102,7 @@ func (e *Engine) Run(env *exec.Env, stage *exec.Stage, conf exec.EngineConf) (*e
 		}
 	}
 	st.ChaosDelaySec = env.Chaos.DrainVirtualDelay()
-	exec.FillSinkWriteBytes(env, stage, st)
+	exec.FinishStageTrace(env, stage, conf, tasks, st)
 	metrics.FoldStage(env.Metrics, st)
-	return &exec.StageResult{Trace: st, Rows: rows}, nil
+	return &exec.StageResult{Trace: st, Rows: rows.Rows()}, nil
 }
