@@ -60,8 +60,10 @@ soak:
 # fuzz runs each native fuzz target for FUZZTIME, starting from its
 # committed seed corpus (testdata/fuzz/<target>): the parsers of
 # shuffle bytes, WireSource and Run.AppendBlock (CountPairs is checked
-# inside both), and the reduce side's decoders of shuffled values and
-# keys, RowSlab.AppendRow and DecodeKeyDatumBytes. `go test` alone
+# inside both), the reduce side's decoders of shuffled values and
+# keys, RowSlab.AppendRow and DecodeKeyDatumBytes, and the ORC reader:
+# its DEFLATE decoder against compress/flate (FuzzInflate) and whole
+# files through OpenSplitBatch (FuzzORCSplitBatch). `go test` alone
 # replays the seeds as ordinary tests.
 FUZZTIME ?= 10s
 fuzz:
@@ -69,6 +71,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRunAppendBlock$$' -fuzztime $(FUZZTIME) ./internal/kvio/
 	$(GO) test -run '^$$' -fuzz '^FuzzRowSlabAppendRow$$' -fuzztime $(FUZZTIME) ./internal/types/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeKeyDatumBytes$$' -fuzztime $(FUZZTIME) ./internal/types/
+	$(GO) test -run '^$$' -fuzz '^FuzzInflate$$' -fuzztime $(FUZZTIME) ./internal/storage/
+	$(GO) test -run '^$$' -fuzz '^FuzzORCSplitBatch$$' -fuzztime $(FUZZTIME) ./internal/storage/
 
 # bench runs the shuffle hot-path microbenchmarks (kvio framing, sort
 # and merge, MPI_D_Send, dfs memory tier, the Hadoop map-output and

@@ -224,22 +224,21 @@ func (ow *orcWriter) Close() error {
 	return ow.w.Close()
 }
 
-// inflater is the pooled read-side codec state: one flate decompressor
-// and the compressed and inflated buffers it works between. A reader
-// borrows one for the length of a footer read or a stripe load and
-// copies out what it keeps, so nothing served to a caller aliases it.
+// inflater is the pooled read-side codec state: the compressed and
+// inflated buffers of one stream and the Huffman tables of its current
+// dynamic block (inflate.go). A reader borrows one for the length of a
+// footer read or a stripe load and copies out what it keeps, so nothing
+// served to a caller aliases it.
 type inflater struct {
-	src  bytes.Reader
-	fr   io.ReadCloser // also a flate.Resetter
 	comp []byte
-	raw  bytes.Buffer
+	raw  []byte
+	lit  [litTableSize]uint32
+	dist [distTableSize]uint32
+	clen [1 << clenRootBits]uint32
+	lens [maxLitSym + maxDistSym]uint8
 }
 
-var inflaters = sync.Pool{New: func() any {
-	in := &inflater{}
-	in.fr = flate.NewReader(&in.src)
-	return in
-}}
+var inflaters = sync.Pool{New: func() any { return new(inflater) }}
 
 // fetch reads [off, off+n) of r into the compressed buffer.
 func (in *inflater) fetch(r io.ReadSeeker, off, n int64) ([]byte, error) {
@@ -251,19 +250,6 @@ func (in *inflater) fetch(r io.ReadSeeker, off, n int64) ([]byte, error) {
 		return nil, err
 	}
 	return in.comp, nil
-}
-
-// inflate decompresses comp into the raw buffer.
-func (in *inflater) inflate(comp []byte) ([]byte, error) {
-	in.src.Reset(comp)
-	if err := in.fr.(flate.Resetter).Reset(&in.src, nil); err != nil {
-		return nil, err
-	}
-	in.raw.Reset()
-	if _, err := in.raw.ReadFrom(in.fr); err != nil {
-		return nil, err
-	}
-	return in.raw.Bytes(), nil
 }
 
 // maxInflateRatio is deflate's largest possible expansion (a stored

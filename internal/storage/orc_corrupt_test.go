@@ -13,10 +13,11 @@ import (
 
 	"hivempi/internal/dfs"
 	"hivempi/internal/types"
+	"hivempi/internal/vec"
 )
 
 // orcTestFile writes a tiny ORC file and returns its bytes.
-func orcTestFile(t *testing.T) (*dfs.FileSystem, string) {
+func orcTestFile(t testing.TB) (*dfs.FileSystem, string) {
 	t.Helper()
 	fs := dfs.New(dfs.Config{BlockSize: 4 << 10, Nodes: []string{"n"}})
 	schema := types.NewSchema(types.Col("a", types.KindInt), types.Col("b", types.KindString))
@@ -118,10 +119,15 @@ func TestORCEmptySchemaMismatch(t *testing.T) {
 	}
 }
 
+// hostileAllocLimit bounds what reading a hostile file may allocate:
+// far below what its corrupt counts claim.
+const hostileAllocLimit = 8 << 20
+
 // hostile asserts that scanning data errors in both modes (io.EOF is a
 // clean scan, so it does not count) without panicking and without
-// allocating anything near what the corrupt counts claim.
-func hostile(t *testing.T, name string, data []byte, schema *types.Schema) {
+// allocating anything near what the corrupt counts claim. It returns
+// the row and batch scans' errors.
+func hostile(t *testing.T, name string, data []byte, schema *types.Schema) (rowErr, batchErr error) {
 	t.Helper()
 	fs := dfs.New(dfs.Config{BlockSize: 4 << 10, Nodes: []string{"n"}})
 	if err := fs.WriteFile("/hostile", data); err != nil {
@@ -130,19 +136,20 @@ func hostile(t *testing.T, name string, data []byte, schema *types.Schema) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	split := dfs.Split{Path: "/hostile", Length: int64(len(data))}
-	_, rowErr := scanSplit(fs, split, schema, false)
-	_, batchErr := scanSplit(fs, split, schema, true)
+	_, rowErr = scanSplit(fs, split, schema, false)
+	_, batchErr = scanSplit(fs, split, schema, true)
 	runtime.ReadMemStats(&after)
 	if rowErr == io.EOF || batchErr == io.EOF {
 		t.Errorf("%s: scanned clean (row: %v, batch: %v)", name, rowErr, batchErr)
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+	if got := after.TotalAlloc - before.TotalAlloc; got > hostileAllocLimit {
 		t.Errorf("%s: allocated %d bytes reading a %d-byte file", name, got, len(data))
 	}
+	return rowErr, batchErr
 }
 
 // withFooter returns data with its footer replaced by mutate's edit.
-func withFooter(t *testing.T, data []byte, mutate func(*orcFooter)) []byte {
+func withFooter(t testing.TB, data []byte, mutate func(*orcFooter)) []byte {
 	t.Helper()
 	fb := footerBytes(data)
 	var footer orcFooter
@@ -159,7 +166,7 @@ func footerBytes(data []byte) []byte {
 	return data[len(data)-8-flen : len(data)-8]
 }
 
-func appendFooter(t *testing.T, body []byte, footer *orcFooter) []byte {
+func appendFooter(t testing.TB, body []byte, footer *orcFooter) []byte {
 	t.Helper()
 	fb, err := json.Marshal(footer)
 	if err != nil {
@@ -170,14 +177,9 @@ func appendFooter(t *testing.T, body []byte, footer *orcFooter) []byte {
 	return append(body, orcMagic...)
 }
 
-func TestORCHostileFooterRejected(t *testing.T) {
-	fs, path := orcTestFile(t)
-	good, err := fs.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	schema := types.NewSchema(types.Col("a", types.KindInt), types.Col("b", types.KindString))
-	cases := map[string]func(*orcStripeMeta){
+// hostileFooterEdits are corruptions of one stripe's footer entry.
+func hostileFooterEdits() map[string]func(*orcStripeMeta) {
+	return map[string]func(*orcStripeMeta){
 		"short colOffsets":         func(st *orcStripeMeta) { st.ColOffsets = st.ColOffsets[:2] },
 		"no colOffsets":            func(st *orcStripeMeta) { st.ColOffsets = nil },
 		"non-monotonic colOffsets": func(st *orcStripeMeta) { st.ColOffsets[1] = st.ColOffsets[2] + 1 },
@@ -191,14 +193,23 @@ func TestORCHostileFooterRejected(t *testing.T) {
 		"huge rows":                func(st *orcStripeMeta) { st.Rows = 1 << 40 },
 		"rows past the stream":     func(st *orcStripeMeta) { st.Rows *= 2 },
 	}
-	for name, mutate := range cases {
+}
+
+func TestORCHostileFooterRejected(t *testing.T) {
+	fs, path := orcTestFile(t)
+	good, err := fs.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := types.NewSchema(types.Col("a", types.KindInt), types.Col("b", types.KindString))
+	for name, mutate := range hostileFooterEdits() {
 		data := withFooter(t, good, func(f *orcFooter) { mutate(&f.Stripes[0]) })
 		hostile(t, name, data, schema)
 	}
 }
 
 // deflated compresses raw the way the writer does.
-func deflated(t *testing.T, raw []byte) []byte {
+func deflated(t testing.TB, raw []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	fw, err := flate.NewWriter(&buf, flate.BestSpeed)
@@ -214,17 +225,24 @@ func deflated(t *testing.T, raw []byte) []byte {
 	return buf.Bytes()
 }
 
-func TestORCHostileStreamRejected(t *testing.T) {
-	const rows = 16
+// hostileRows is the row count the hostile column streams claim.
+const hostileRows = 16
+
+type hostileStream struct {
+	name string
+	kind types.Kind
+	raw  []byte
+}
+
+// hostileColumnStreams are corrupt inflated column streams, each of a
+// column of kind.
+func hostileColumnStreams() []hostileStream {
+	const rows = hostileRows
 	huge := binary.AppendUvarint(nil, 1<<62)
 	presence := append(binary.AppendUvarint(nil, rows), 0xFF, 0xFF)
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	count := binary.AppendUvarint(nil, rows)
-	cases := []struct {
-		name string
-		kind types.Kind
-		raw  []byte
-	}{
+	return []hostileStream{
 		{"presence count", types.KindInt, cat(huge, []byte{0xFF, 0xFF})},
 		{"presence truncated", types.KindInt, presence[:2]},
 		{"int count", types.KindInt, cat(presence, huge)},
@@ -246,25 +264,141 @@ func TestORCHostileStreamRejected(t *testing.T) {
 			bytes.Repeat(binary.AppendUvarint(nil, 1<<60), rows))},
 		{"string bytes truncated", types.KindString, cat(presence, count, []byte{strDirect}, bytes.Repeat([]byte{3}, rows), []byte("ab"))},
 	}
-	for _, tc := range cases {
+}
+
+// oneStreamFile is an ORC file of one hostileRows-row stripe holding
+// stream as its only column, of kind.
+func oneStreamFile(t testing.TB, kind types.Kind, stream []byte) []byte {
+	footer := &orcFooter{
+		Columns: []orcColumnMeta{{Name: "c", Type: kind.String()}},
+		Stripes: []orcStripeMeta{{
+			Length: int64(len(stream)), Rows: hostileRows,
+			ColOffsets: []int64{0, int64(len(stream))},
+			Stats:      make([]orcColStat, 1),
+		}},
+		Rows: hostileRows,
+	}
+	return appendFooter(t, bytes.Clone(stream), footer)
+}
+
+func TestORCHostileStreamRejected(t *testing.T) {
+	for _, tc := range hostileColumnStreams() {
 		schema := types.NewSchema(types.Col("c", tc.kind))
-		stream := deflated(t, tc.raw)
-		footer := &orcFooter{
-			Columns: []orcColumnMeta{{Name: "c", Type: tc.kind.String()}},
-			Stripes: []orcStripeMeta{{
-				Length: int64(len(stream)), Rows: rows,
-				ColOffsets: []int64{0, int64(len(stream))},
-				Stats:      make([]orcColStat, 1),
-			}},
-			Rows: rows,
-		}
-		hostile(t, tc.name, appendFooter(t, stream, footer), schema)
+		hostile(t, tc.name, oneStreamFile(t, tc.kind, deflated(t, tc.raw)), schema)
 	}
 	// An undersized stream that is not deflate at all.
 	footer := &orcFooter{
 		Columns: []orcColumnMeta{{Name: "c", Type: "bigint"}},
-		Stripes: []orcStripeMeta{{Length: 4, Rows: rows, ColOffsets: []int64{0, 4}}},
+		Stripes: []orcStripeMeta{{Length: 4, Rows: hostileRows, ColOffsets: []int64{0, 4}}},
 	}
 	hostile(t, "not deflate", appendFooter(t, []byte{0xde, 0xad, 0xbe, 0xef}, footer),
 		types.NewSchema(types.Col("c", types.KindInt)))
+	// Streams that break a rule of deflate itself.
+	schema := types.NewSchema(types.Col("c", types.KindInt))
+	for _, c := range hostileDeflate() {
+		rowErr, batchErr := hostile(t, c.name, oneStreamFile(t, types.KindInt, c.stream), schema)
+		for _, err := range []error{rowErr, batchErr} {
+			if err == nil || !strings.HasPrefix(err.Error(), "storage: orc inflate: ") {
+				t.Errorf("%s: %v, want a storage: orc inflate: error", c.name, err)
+			}
+		}
+	}
+}
+
+// fuzzSchema is FuzzORCSplitBatch's table: one column for each of the
+// int, string, float and bool decoders.
+func fuzzSchema() *types.Schema {
+	return types.NewSchema(types.Col("a", types.KindInt), types.Col("b", types.KindString),
+		types.Col("c", types.KindFloat), types.Col("d", types.KindBool))
+}
+
+// withStreams returns the one-stripe ORC file data with the column
+// streams in replace put in place of its own.
+func withStreams(t testing.TB, data []byte, replace map[int][]byte) []byte {
+	fb := footerBytes(data)
+	var footer orcFooter
+	if err := json.Unmarshal(fb, &footer); err != nil {
+		t.Fatal(err)
+	}
+	st := &footer.Stripes[0]
+	var body []byte
+	for ci := 0; ci+1 < len(st.ColOffsets); ci++ {
+		stream, ok := replace[ci]
+		if !ok {
+			stream = data[st.Offset+st.ColOffsets[ci] : st.Offset+st.ColOffsets[ci+1]]
+		}
+		st.ColOffsets[ci] = int64(len(body))
+		body = append(body, stream...)
+	}
+	st.Length = int64(len(body))
+	st.ColOffsets[len(st.ColOffsets)-1] = st.Length
+	return appendFooter(t, body, &footer)
+}
+
+// streamBytes is the number of bytes in front of data's footer, the
+// only bytes a reader inflates; 0 when data has no well-formed tail.
+func streamBytes(data []byte) int {
+	if len(data) < 8 || !bytes.Equal(data[len(data)-4:], orcMagic) {
+		return 0
+	}
+	flen := int(binary.LittleEndian.Uint32(data[len(data)-8:]))
+	return max(len(data)-8-flen, 0)
+}
+
+// FuzzORCSplitBatch: any file bytes read through OpenSplitBatch and
+// NextBatch end in an error or a clean scan, never a panic, and never
+// allocate by a count the file claims. Each stream byte inflates to at
+// most maxInflateRatio bytes, and every column's rows are bounded by its
+// own presence bits, eight a byte, each decoding to at most 8 bytes of
+// value: the allowance over hostileAllocLimit is 64 bytes per inflated
+// byte, doubled for slice growth. The seeds' is about 10 MB.
+func FuzzORCSplitBatch(f *testing.F) {
+	schema := fuzzSchema()
+	fs := dfs.New(dfs.Config{BlockSize: 4 << 10, Nodes: []string{"n"}})
+	rows := make([]types.Row, hostileRows)
+	for i := range rows {
+		rows[i] = types.Row{types.Int(int64(i)), types.String("s"), types.Float(float64(i) / 4), types.Bool(i%3 == 0)}
+	}
+	writeRows(f, fs, "/good", FormatORC, schema, rows)
+	good, err := fs.ReadFile("/good")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add([]byte{})
+	for _, mutate := range hostileFooterEdits() {
+		f.Add(withFooter(f, good, func(footer *orcFooter) { mutate(&footer.Stripes[0]) }))
+	}
+	for _, tc := range hostileColumnStreams() {
+		for ci, c := range schema.Columns {
+			if c.Type == tc.kind {
+				f.Add(withStreams(f, good, map[int][]byte{ci: deflated(f, tc.raw)}))
+				break
+			}
+		}
+	}
+	for _, c := range hostileDeflate() {
+		f.Add(withStreams(f, good, map[int][]byte{0: c.stream}))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fs := dfs.New(dfs.Config{BlockSize: 4 << 10, Nodes: []string{"n"}})
+		if err := fs.WriteFile("/fuzz", data); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rd, err := OpenSplitBatch(fs, dfs.Split{Path: "/fuzz", Length: int64(len(data))}, FormatORC, schema, nil, nil)
+		if err == nil {
+			b := vec.Get(schema.Len())
+			for err == nil {
+				err = rd.NextBatch(b)
+			}
+			vec.Put(b)
+		}
+		runtime.ReadMemStats(&after)
+		limit := hostileAllocLimit + 2*maxInflateRatio*8*8*streamBytes(data)
+		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(limit) {
+			t.Fatalf("allocated %d bytes reading a %d-byte file (%v)", got, len(data), err)
+		}
+	})
 }

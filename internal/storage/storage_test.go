@@ -47,7 +47,7 @@ func newFS() *dfs.FileSystem {
 	return dfs.New(dfs.Config{BlockSize: 4 << 10, Nodes: []string{"n1", "n2", "n3"}})
 }
 
-func writeRows(t *testing.T, fs *dfs.FileSystem, path string, f Format, schema *types.Schema, rows []types.Row) {
+func writeRows(t testing.TB, fs *dfs.FileSystem, path string, f Format, schema *types.Schema, rows []types.Row) {
 	t.Helper()
 	w, err := CreateTableFile(fs, path, f, schema)
 	if err != nil {
