@@ -60,19 +60,23 @@ soak:
 # fuzz runs each native fuzz target for FUZZTIME, starting from its
 # committed seed corpus (testdata/fuzz/<target>): the parsers of
 # shuffle bytes, WireSource and Run.AppendBlock (CountPairs is checked
-# inside both), the reduce side's decoders of shuffled values and
+# inside both), the sorted run's radix sorts against their comparisons
+# (FuzzRunSort), the reduce side's decoders of shuffled values and
 # keys, RowSlab.AppendRow and DecodeKeyDatumBytes, and the ORC reader:
-# its DEFLATE decoder against compress/flate (FuzzInflate) and whole
-# files through OpenSplitBatch (FuzzORCSplitBatch). `go test` alone
+# its DEFLATE decoder against compress/flate (FuzzInflate), whole
+# files through OpenSplitBatch (FuzzORCSplitBatch) and one column
+# stream under a fixed footer (FuzzORCColumnStream). `go test` alone
 # replays the seeds as ordinary tests.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireSource$$' -fuzztime $(FUZZTIME) ./internal/kvio/
 	$(GO) test -run '^$$' -fuzz '^FuzzRunAppendBlock$$' -fuzztime $(FUZZTIME) ./internal/kvio/
+	$(GO) test -run '^$$' -fuzz '^FuzzRunSort$$' -fuzztime $(FUZZTIME) ./internal/kvio/
 	$(GO) test -run '^$$' -fuzz '^FuzzRowSlabAppendRow$$' -fuzztime $(FUZZTIME) ./internal/types/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeKeyDatumBytes$$' -fuzztime $(FUZZTIME) ./internal/types/
 	$(GO) test -run '^$$' -fuzz '^FuzzInflate$$' -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzORCSplitBatch$$' -fuzztime $(FUZZTIME) ./internal/storage/
+	$(GO) test -run '^$$' -fuzz '^FuzzORCColumnStream$$' -fuzztime $(FUZZTIME) ./internal/storage/
 
 # bench runs the shuffle hot-path microbenchmarks (kvio framing, sort
 # and merge, MPI_D_Send, dfs memory tier, the Hadoop map-output and

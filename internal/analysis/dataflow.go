@@ -32,11 +32,12 @@ import (
 //     unknown external calls conservatively inherit their arguments'
 //     taint when collection-shaped.
 //   - SANITIZERS: the canonicalizing sorts (sort.*, slices.Sort*,
-//     kvio.Sort, kvio.Run.Sort) clear taint, as does any module function
-//     whose own body sorts the parameter (summarized as SanitizesParams).
-//     A kvio.Run carries order in its receiver: Append and AppendBlock
-//     add their arguments' order to it, Sort clears it, and Entries,
-//     Source and the pair accessors hand it on.
+//     kvio.Sort, kvio.Run.SortByKeyValue/SortByPartKey) clear taint, as
+//     does any module function whose own body sorts the parameter
+//     (summarized as SanitizesParams). A kvio.Run carries order in its
+//     receiver: Append and AppendBlock add their arguments' order to it,
+//     SortByKeyValue and SortByPartKey clear it, and Entries, Source and
+//     the pair accessors hand it on.
 //   - SINKS: order-sensitive emission points — the kvio encoders
 //     (AppendKV, Run.AppendWire/AppendWireKV), the shuffle send path (OContext.Send),
 //     the comm_report/Chrome-trace writers, io/bufio/bytes/strings
@@ -809,9 +810,9 @@ func (w *flowWalker) callResultTaints(call *ast.CallExpr, nres int) []taint {
 	if isMethodOn(callee, w.df.prog.ModulePath+"/internal/kvio", "Run") && funWalked {
 		recv := ast.Unparen(call.Fun).(*ast.SelectorExpr).X
 		switch callee.Name() {
-		case "Sort":
+		case "SortByKeyValue", "SortByPartKey":
 			// A canonicalizing sort, like kvio.Sort: the run's order is
-			// the comparison's from here on.
+			// the sort's from here on.
 			w.clearPlaceOf(recv)
 			return out
 		case "Append", "AppendBlock":

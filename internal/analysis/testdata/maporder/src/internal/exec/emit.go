@@ -144,9 +144,44 @@ func okRecvRunSorted(a, b <-chan []byte) {
 		}
 		run.AppendBlock(blk)
 	}
-	run.Sort(run.ByKeyValue)
+	run.SortByKeyValue()
 	for _, e := range run.Entries() {
 		spill.AppendWire(run.Wire(e))
+	}
+}
+
+// The same loop sorted by (partition, key): no finding.
+func okRecvRunSortedByPartKey(a, b <-chan []byte) {
+	var run, spill kvio.Run
+	for i := 0; i < 4; i++ {
+		var blk []byte
+		select {
+		case blk = <-a:
+		case blk = <-b:
+		}
+		run.AppendBlock(blk)
+	}
+	run.SortByPartKey()
+	for _, e := range run.Entries() {
+		spill.AppendWire(run.Wire(e))
+	}
+}
+
+// A run sorted, then appended to in arrival order again: the order the
+// sort gave is gone, and the spill fires.
+func badRecvRunAppendedAfterSort(a, b <-chan []byte) {
+	var run, spill kvio.Run
+	run.SortByKeyValue()
+	for i := 0; i < 4; i++ {
+		var blk []byte
+		select {
+		case blk = <-a:
+		case blk = <-b:
+		}
+		run.AppendBlock(blk)
+	}
+	for _, e := range run.Entries() {
+		spill.AppendWire(run.Wire(e)) // want "the kvio run writer receives data whose order derives from select arrival order"
 	}
 }
 

@@ -14,8 +14,8 @@ func AppendKV(dst, k, v []byte) []byte {
 // Sort canonicalizes record order (sanitizer).
 func Sort(kvs []KV) {}
 
-// Run is the in-memory sorted run: appends carry order into it, Sort
-// canonicalizes it, and its unindexed appends are the run writer
+// Run is the in-memory sorted run: appends carry order into it, its
+// sorts canonicalize it, and its unindexed appends are the run writer
 // (order-sensitive sink).
 type Run struct {
 	arena []byte
@@ -31,9 +31,9 @@ func (r *Run) AppendBlock(block []byte) (int, error) {
 	return 1, nil
 }
 
-func (r *Run) Sort(cmp func(x, y RunEntry) int) {}
+func (r *Run) SortByKeyValue() {}
 
-func (r *Run) ByKeyValue(x, y RunEntry) int { return x.off - y.off }
+func (r *Run) SortByPartKey() {}
 
 func (r *Run) Entries() []RunEntry { return r.index }
 

@@ -100,7 +100,7 @@ func (a *AContext) spill() {
 	if c.Len() == 0 {
 		return
 	}
-	c.Sort(c.ByKeyValue)
+	c.SortByKeyValue()
 	run := kvio.GetRun()
 	run.Reserve(c.Size())
 	for _, e := range c.Entries() {
@@ -119,7 +119,7 @@ func (a *AContext) spill() {
 // over the in-memory cache first, then every spill run in spill order.
 func (a *AContext) prepareIterator() error {
 	c := a.cache
-	c.Sort(c.ByKeyValue)
+	c.SortByKeyValue()
 	a.metrics.SortedBytes = int64(c.Size()) + a.metrics.SpillBytes
 	sources := make([]kvio.Source, 0, len(a.spills)+1)
 	if c.Len() > 0 {

@@ -282,7 +282,7 @@ func (o *OContext) runCombiner(data []byte) (*block, error) {
 		return nil, err
 	}
 	o.metrics.CombineInPairs += int64(n)
-	run.Sort(run.ByPartKey)
+	run.SortByPartKey()
 	out := o.getBlock()
 	err = run.Groups(run.Entries(), func(key []byte, vals [][]byte) error {
 		for _, v := range o.job.cfg.Combiner(key, vals) {

@@ -97,7 +97,7 @@ func (m *MapContext) sortAndSpill() {
 	if b.Len() == 0 {
 		return
 	}
-	b.Sort(b.ByPartKey)
+	b.SortByPartKey()
 	sp := &mapOutput{offsets: make([]int64, m.job.cfg.NumReduces+1)}
 	index := b.Entries()
 	i := 0

@@ -3,6 +3,7 @@ package kvio
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -134,7 +135,7 @@ func BenchmarkRunSortHotKey(b *testing.B) {
 			if _, err := r.AppendBlock(wire); err != nil {
 				b.Fatal(err)
 			}
-			r.Sort(r.ByKeyValue)
+			r.SortByKeyValue()
 		}
 	})
 	b.Run("kvio.Sort", func(b *testing.B) {
@@ -149,4 +150,57 @@ func BenchmarkRunSortHotKey(b *testing.B) {
 			Sort(kvs)
 		}
 	})
+}
+
+// intKey is an int join key as the key codec writes it: a kind byte,
+// then the biased big-endian value, so small keys share six bytes.
+func intKey(v int) []byte {
+	u := uint64(v) ^ 1<<63
+	return []byte{0x01, byte(u >> 56), byte(u >> 48), byte(u >> 40), byte(u >> 32), byte(u >> 24), byte(u >> 16), byte(u >> 8), byte(u)}
+}
+
+// BenchmarkRunSort sorts one 6 144-pair run, the size of an A-side
+// cache on join_shuffle, from its arrival order in three shapes: int
+// join keys with about four values each in (key, value) order, as the
+// A side sorts them; the hotKeyBlock URL shape in (key, value) order;
+// and int keys over seven partitions in (partition, key) order, as a
+// Hadoop map task sorts its buffer.
+func BenchmarkRunSort(b *testing.B) {
+	rng := rand.New(rand.NewSource(42))
+	join := GetRun()
+	defer join.Release()
+	part7 := GetRun()
+	defer part7.Release()
+	for i := 0; i < 6144; i++ {
+		k := rng.Intn(1536)
+		v := append(intKey(rng.Intn(1e6)), fmt.Sprintf("\x02order%d\x00\x00", rng.Intn(1e4))...)
+		join.Append(0, intKey(k), v)
+		part7.Append(k%7, intKey(k), v)
+	}
+	hot := GetRun()
+	defer hot.Release()
+	if _, err := hot.AppendBlock(hotKeyBlock()); err != nil {
+		b.Fatal(err)
+	}
+	hot.index = hot.index[:6144]
+	for _, c := range []struct {
+		name string
+		r    *Run
+		sort func()
+	}{
+		{"int_join_kv", join, join.SortByKeyValue},
+		{"hotkey_url_kv", hot, hot.SortByKeyValue},
+		{"part7_pk", part7, part7.SortByPartKey},
+	} {
+		arrival := slices.Clone(c.r.index)
+		b.Run(c.name, func(b *testing.B) {
+			c.sort() // warm the run's sort memory
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(c.r.index, arrival)
+				c.sort()
+			}
+		})
+	}
 }

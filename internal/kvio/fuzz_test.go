@@ -3,12 +3,14 @@ package kvio
 import (
 	"bytes"
 	"io"
+	"slices"
 	"testing"
 )
 
 // The parsers of shuffle bytes are CountPairs, WireSource and
-// Run.AppendBlock. Their seed corpora live in testdata/fuzz; run the
-// targets with `make fuzz`.
+// Run.AppendBlock; FuzzRunSort holds the run's radix sorts to their
+// comparisons. The seed corpora live in testdata/fuzz; run the targets
+// with `make fuzz`.
 
 // fuzzSeeds are well-formed runs added to the committed corpus.
 func fuzzSeeds(f *testing.F) {
@@ -87,6 +89,68 @@ func FuzzRunAppendBlock(f *testing.F) {
 		}
 		if !bytes.Equal(wire, data) {
 			t.Fatalf("indexed pairs cover %x, block %x", wire, data)
+		}
+	})
+}
+
+// runSortPairs cuts data into tagged pairs. Each pair starts with two
+// bytes h, v. Bits 0–1 of h are the Part tag and h>>2 says what the key
+// is: below 62, a key of that length; 62, the previous key and one byte
+// more; 63, the previous key again, so a few bytes make a hot key. v&31
+// is the value's length. The key and value bytes follow, cut short at
+// the end.
+func runSortPairs(data []byte) (parts []int, kvs []KV) {
+	var key []byte
+	take := func(n int) []byte {
+		n = min(n, len(data))
+		b := data[:n:n]
+		data = data[n:]
+		return b
+	}
+	for len(data) > 0 {
+		h, v := data[0], 0
+		if data = data[1:]; len(data) > 0 {
+			v, data = int(data[0]&31), data[1:]
+		}
+		switch code := int(h >> 2); code {
+		case 62:
+			key = append(key[:len(key):len(key)], take(1)...)
+		case 63:
+		default:
+			key = take(code)
+		}
+		parts = append(parts, int(h&3))
+		kvs = append(kvs, KV{Key: key, Value: take(v)})
+	}
+	return parts, kvs
+}
+
+// FuzzRunSort: SortByKeyValue yields the Wire sequence slices.SortFunc
+// gives under ByKeyValue, and SortByPartKey exactly the entries it gives
+// under ByPartKey, on any pairs runSortPairs cuts from the input.
+func FuzzRunSort(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		parts, kvs := runSortPairs(data)
+		r := GetRun()
+		defer r.Release()
+		for i, p := range kvs {
+			r.Append(parts[i], p.Key, p.Value)
+		}
+		arrival := slices.Clone(r.Entries())
+
+		want := slices.Clone(arrival)
+		slices.SortFunc(want, r.ByKeyValue)
+		r.SortByKeyValue()
+		if got := r.Entries(); !bytes.Equal(sortedWires(r, got), sortedWires(r, want)) {
+			t.Fatalf("SortByKeyValue order differs from slices.SortFunc(ByKeyValue) on %d pairs", len(got))
+		}
+
+		copy(r.Entries(), arrival)
+		want = slices.Clone(arrival)
+		slices.SortFunc(want, r.ByPartKey)
+		r.SortByPartKey()
+		if got := r.Entries(); !slices.Equal(got, want) {
+			t.Fatalf("SortByPartKey order differs from slices.SortFunc(ByPartKey) on %d pairs", len(got))
 		}
 	})
 }

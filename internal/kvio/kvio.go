@@ -158,9 +158,9 @@ func DecodeAllInto(dst []KV, buf []byte) ([]KV, error) {
 // Sort is kept only for the frozen end-to-end replay
 // (benchmarks/e2e/replay.go) and for tests, and goes once the replay
 // runs the production entry points (ROADMAP item 2(a)). Production
-// sorts a Run with Run.Sort: its equal-key tie-break here
-// (sortByValue) is an insertion sort, quadratic in the number of
-// values one key carries.
+// sorts a Run with Run.SortByKeyValue, whose radix passes go on into
+// the values: the equal-key tie-break here (sortByValue) is an
+// insertion sort, quadratic in the number of values one key carries.
 func Sort(kvs []KV) {
 	if len(kvs) < 2 {
 		return

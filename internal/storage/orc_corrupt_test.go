@@ -402,3 +402,96 @@ func FuzzORCSplitBatch(f *testing.F) {
 		}
 	})
 }
+
+// columnFuzzKinds are the column kinds FuzzORCColumnStream decodes a
+// stream as, one for each decoder (dates decode as ints).
+var columnFuzzKinds = []types.Kind{types.KindInt, types.KindFloat, types.KindString, types.KindBool}
+
+// stored wraps raw in stored (uncompressed) deflate blocks: no
+// compressor runs per input, and every byte of raw reaches the decoder.
+func stored(raw []byte) []byte {
+	var out []byte
+	for {
+		n := min(len(raw), 0xFFFF)
+		final := byte(0)
+		if n == len(raw) {
+			final = 1
+		}
+		out = append(out, final, byte(n), byte(n>>8), ^byte(n), ^byte(n>>8))
+		out = append(out, raw[:n]...)
+		if raw = raw[n:]; final == 1 {
+			return out
+		}
+	}
+}
+
+// FuzzORCColumnStream: any inflated column stream, decoded as a column
+// of one of columnFuzzKinds through a fixed, valid one-stripe footer
+// (oneStreamFile), ends in an error or a clean scan, never a panic, and
+// never allocates by a count the stream claims. Unlike
+// FuzzORCSplitBatch's, no mutation here breaks the footer or the
+// deflate framing, so each one reaches decodedColumn.decode. Seeds: the
+// valid streams of each kind, and the hostile column streams.
+func FuzzORCColumnStream(f *testing.F) {
+	schema := fuzzSchema()
+	fs := dfs.New(dfs.Config{BlockSize: 4 << 10, Nodes: []string{"n"}})
+	rows := make([]types.Row, hostileRows)
+	for i := range rows {
+		rows[i] = types.Row{types.Int(int64(i)), types.String("s"), types.Float(float64(i) / 4), types.Bool(i%3 == 0)}
+		if i%5 == 0 {
+			rows[i][i%4] = types.Null()
+		}
+	}
+	writeRows(f, fs, "/good", FormatORC, schema, rows)
+	good, err := fs.ReadFile("/good")
+	if err != nil {
+		f.Fatal(err)
+	}
+	var footer orcFooter
+	if err := json.Unmarshal(footerBytes(good), &footer); err != nil {
+		f.Fatal(err)
+	}
+	st := footer.Stripes[0]
+	kindOf := func(k types.Kind) uint8 {
+		for i, c := range columnFuzzKinds {
+			if c == k {
+				return uint8(i)
+			}
+		}
+		f.Fatalf("no fuzz kind %v", k)
+		return 0
+	}
+	for ci, c := range schema.Columns {
+		raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(good[st.Offset+st.ColOffsets[ci] : st.Offset+st.ColOffsets[ci+1]])))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(kindOf(c.Type), raw)
+	}
+	for _, tc := range hostileColumnStreams() {
+		f.Add(kindOf(tc.kind), tc.raw)
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, raw []byte) {
+		k := columnFuzzKinds[int(kind)%len(columnFuzzKinds)]
+		schema := types.NewSchema(types.Col("c", k))
+		data := oneStreamFile(t, k, stored(raw))
+		fs := dfs.New(dfs.Config{BlockSize: 4 << 10, Nodes: []string{"n"}})
+		if err := fs.WriteFile("/fuzz", data); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rd, err := OpenSplitBatch(fs, dfs.Split{Path: "/fuzz", Length: int64(len(data))}, FormatORC, schema, nil, nil)
+		if err == nil {
+			b := vec.Get(schema.Len())
+			for err == nil {
+				err = rd.NextBatch(b)
+			}
+			vec.Put(b)
+		}
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(hostileAllocLimit+16*len(data)); got > limit {
+			t.Fatalf("allocated %d bytes decoding a %d-byte %v stream (%v)", got, len(raw), k, err)
+		}
+	})
+}
