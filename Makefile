@@ -62,11 +62,12 @@ soak:
 # shuffle bytes, WireSource and Run.AppendBlock (CountPairs is checked
 # inside both), the sorted run's radix sorts against their comparisons
 # (FuzzRunSort), the reduce side's decoders of shuffled values and
-# keys, RowSlab.AppendRow and DecodeKeyDatumBytes, and the ORC reader:
-# its DEFLATE decoder against compress/flate (FuzzInflate), whole
-# files through OpenSplitBatch (FuzzORCSplitBatch) and one column
-# stream under a fixed footer (FuzzORCColumnStream). `go test` alone
-# replays the seeds as ordinary tests.
+# keys, RowSlab.AppendRow and DecodeKeyDatumBytes, the ORC writer's
+# DEFLATE encoder against compress/flate BestSpeed (FuzzDeflate), and
+# the ORC reader: its DEFLATE decoder against compress/flate
+# (FuzzInflate), whole files through OpenSplitBatch (FuzzORCSplitBatch)
+# and one column stream under a fixed footer (FuzzORCColumnStream).
+# `go test` alone replays the seeds as ordinary tests.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireSource$$' -fuzztime $(FUZZTIME) ./internal/kvio/
@@ -74,6 +75,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRunSort$$' -fuzztime $(FUZZTIME) ./internal/kvio/
 	$(GO) test -run '^$$' -fuzz '^FuzzRowSlabAppendRow$$' -fuzztime $(FUZZTIME) ./internal/types/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeKeyDatumBytes$$' -fuzztime $(FUZZTIME) ./internal/types/
+	$(GO) test -run '^$$' -fuzz '^FuzzDeflate$$' -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzInflate$$' -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzORCSplitBatch$$' -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz '^FuzzORCColumnStream$$' -fuzztime $(FUZZTIME) ./internal/storage/

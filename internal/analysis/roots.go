@@ -74,6 +74,7 @@ var HotRootMethods = map[string]map[string][]string{
 	// allocation per stripe, block or batch, not per row or per stream.
 	"storage": {
 		"orcWriter":       {"Write", "WriteBatch", "flushStripe"},
+		"deflater":        {"compress"},
 		"colBuilder":      {"appendDatum", "encode", "stats"},
 		"orcSplitReader":  {"NextBatch", "loadStripeVec", "readColumnStream"},
 		"textWriter":      {"Write", "WriteBatch"},

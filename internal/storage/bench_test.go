@@ -101,8 +101,8 @@ func BenchmarkORCScanBatch(b *testing.B) {
 // iteration. The sink discards: the dfs write has its own benchmarks,
 // and without its block allocations the B/op and allocs/op here are the
 // codec's alone. (allocs/op still wobbles by one or two: now and then
-// a Get finds its sync.Pool empty on this P and builds a compressor,
-// ~20 objects. benchdiff allows allocs/op that much slack.)
+// a Get finds its sync.Pool empty on this P and builds a deflater and
+// its stripe buffer. benchdiff allows allocs/op that much slack.)
 func benchWrite(b *testing.B, open func() RowWriter) {
 	rows := testRows(20000)
 	b.ReportAllocs()

@@ -15,9 +15,9 @@ import (
 // buffer: matches are copied inside that buffer, with no window ring,
 // and the Huffman tables are rebuilt in place for each dynamic block.
 //
-// It accepts exactly the streams compress/flate accepts (the writer's
-// compressor; TestInflateMatchesStdlib and FuzzInflate hold the two to
-// the same bytes and the same verdict): over-subscribed codes and
+// It accepts exactly the streams compress/flate's decompressor accepts
+// (TestInflateMatchesStdlib and FuzzInflate hold the two to the same
+// bytes and the same verdict): over-subscribed codes and
 // incomplete ones other than a single code of length 1 are rejected,
 // as are HLIT > 286, HDIST > 30, a leading repeat code, repeats past
 // the code-length list, literal/length symbols 286–287, distance
@@ -102,6 +102,11 @@ func init() {
 // next root bits of the stream. It reports false where compress/flate
 // rejects the code: over-subscribed, or incomplete and not a single
 // code of length 1. An empty code is accepted and decodes nothing.
+//
+// A code whose longest length l is under root is built in the first
+// 1<<l entries, which then repeat over the rest of the root: the work
+// is sized to the code, and the decoder indexes every table by its
+// constant root width.
 func buildHuffman(table []uint32, root uint, lens []uint8) bool {
 	var count [16]int
 	maxLen := 0
@@ -112,17 +117,15 @@ func buildHuffman(table []uint32, root uint, lens []uint8) bool {
 		}
 	}
 	count[0] = 0
+	full := root
+	root = min(root, uint(maxLen))
 	clear(table[:1<<root])
 	if maxLen == 0 {
+		repeatRoot(table, root, full)
 		return true
 	}
-	var next [16]int
-	code := 0
-	for l := 1; l <= maxLen; l++ {
-		code = (code + count[l-1]) << 1
-		next[l] = code
-	}
-	if end := code + count[maxLen]; end != 1<<maxLen && !(end == 1 && maxLen == 1) {
+	next, end := firstCodes(&count, maxLen)
+	if end != 1<<maxLen && !(end == 1 && maxLen == 1) {
 		return false
 	}
 
@@ -184,7 +187,16 @@ func buildHuffman(table []uint32, root uint, lens []uint8) bool {
 		}
 		count[l]--
 	}
+	repeatRoot(table, root, full)
 	return true
+}
+
+// repeatRoot copies the first 1<<built entries of table over the rest
+// of its 1<<root root entries.
+func repeatRoot(table []uint32, built, root uint) {
+	for n := 1 << built; n < 1<<root; n <<= 1 {
+		copy(table[n:2*n], table[:n])
+	}
 }
 
 // inflate decompresses the raw DEFLATE stream src into the raw buffer,

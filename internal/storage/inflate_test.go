@@ -12,8 +12,7 @@ import (
 )
 
 // stdInflate is the oracle: compress/flate's streaming reader, which
-// the ORC reader used before inflate.go and the writer's compressor
-// is held to.
+// the ORC reader used before inflate.go.
 func stdInflate(src []byte) ([]byte, error) {
 	return io.ReadAll(flate.NewReader(bytes.NewReader(src)))
 }
@@ -358,23 +357,46 @@ func benchStreams(b *testing.B) ([][]byte, int64) {
 	return streams, raw
 }
 
-// BenchmarkInflate inflates every column stream of benchORC's file
-// through one inflater, as a stripe load does.
-func BenchmarkInflate(b *testing.B) {
-	streams, raw := benchStreams(b)
-	in := new(inflater)
-	for _, s := range streams {
-		in.inflate(s) // size the output buffer
+// smallStreams returns compressed column streams of 400-row stripes,
+// whose median (~0.8 KB) is near that of the e2e write_ctas tables'
+// streams (~0.9 KB), and the bytes they inflate to.
+func smallStreams(b *testing.B) ([][]byte, int64) {
+	var streams [][]byte
+	var raw int64
+	d := newDeflater()
+	for _, s := range rawColumnStreams(b, identitySchema(), identityRows(12000, 11), 400) {
+		streams = append(streams, d.compress(nil, s))
+		raw += int64(len(s))
 	}
-	b.SetBytes(raw)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, s := range streams {
-			if _, err := in.inflate(s); err != nil {
-				b.Fatal(err)
+	return streams, raw
+}
+
+// BenchmarkInflate inflates column streams through one inflater, as a
+// stripe load does: every stream of benchORC's file (file), and
+// smallStreams (small), whose dynamic blocks are so short that building
+// their tables is a large share of the work.
+func BenchmarkInflate(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		streams func(*testing.B) ([][]byte, int64)
+	}{{"file", benchStreams}, {"small", smallStreams}} {
+		b.Run(c.name, func(b *testing.B) {
+			streams, raw := c.streams(b)
+			in := new(inflater)
+			for _, s := range streams {
+				in.inflate(s) // size the output buffer
 			}
-		}
+			b.SetBytes(raw)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, s := range streams {
+					if _, err := in.inflate(s); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -19,7 +18,7 @@ import (
 //
 //	[stripe 0][stripe 1]...[footer JSON][uint32 footer length]["GORC"]
 //
-// Each stripe holds one flate-compressed stream per column; the footer
+// Each stripe holds one DEFLATE-compressed stream per column; the footer
 // records the schema, every stripe's offset/length, per-column stream
 // offsets within the stripe, row counts and per-column min/max/null
 // statistics used for predicate pushdown.
@@ -80,23 +79,14 @@ type orcFooter struct {
 	dataEnd int64
 }
 
-// deflaters recycles the writers' compressor state. A flate.Writer is
-// ~1.2 MB of tables whatever the size of the stream it compresses, and
-// Reset makes a used one equivalent to a new one, so the file bytes do
-// not depend on what a compressor wrote before.
-var deflaters = sync.Pool{New: func() any {
-	// NewWriter only fails on an invalid level.
-	fw, _ := flate.NewWriter(nil, flate.BestSpeed)
-	return fw
-}}
-
 // orcWriter cuts rows into stripes. Write appends a row to one
 // colBuilder per column and WriteBatch writes a batch's rows through
 // Write; a stripe is cut after the row that brings it to StripeRows
 // or, with StripeBytes set, to that many approximate bytes (len+2 per
-// non-null string value, 9 per anything else). The builders, the
-// stripe buffer and the column-encoding scratch live as long as the
-// writer, so steady-state work allocates per stripe (its footer
+// non-null string value, 9 per anything else). The builders and the
+// column-encoding scratch live as long as the writer, and a stripe is
+// compressed into the buffer of the pooled deflater (deflate.go) it
+// borrows, so steady-state work allocates per stripe (its footer
 // entry), not per stream.
 type orcWriter struct {
 	w      io.WriteCloser
@@ -110,9 +100,8 @@ type orcWriter struct {
 	footer      orcFooter
 	row         types.Row // WriteBatch's lane, reused
 
-	stripe bytes.Buffer
-	raw    []byte
-	enc    encScratch
+	raw []byte
+	enc encScratch
 }
 
 func newORCWriter(w io.WriteCloser, schema *types.Schema, opts ORCOptions) *orcWriter {
@@ -168,29 +157,24 @@ func (ow *orcWriter) flushStripe() error {
 	meta := orcStripeMeta{Offset: ow.offset, Rows: ow.rows}
 	meta.ColOffsets = make([]int64, len(ow.cols)+1)
 	meta.Stats = make([]orcColStat, len(ow.cols))
-	ow.stripe.Reset()
-	fw := deflaters.Get().(*flate.Writer)
-	defer deflaters.Put(fw)
+	d := deflaters.Get().(*deflater)
+	defer deflaters.Put(d)
+	stripe := d.stripe[:0]
 	for ci := range ow.cols {
 		cb := &ow.cols[ci]
-		meta.ColOffsets[ci] = int64(ow.stripe.Len())
+		meta.ColOffsets[ci] = int64(len(stripe))
 		raw, err := cb.encode(ow.raw[:0], &ow.enc)
 		if err != nil {
 			return err
 		}
 		ow.raw = raw
-		fw.Reset(&ow.stripe)
-		if _, err := fw.Write(raw); err != nil {
-			return err
-		}
-		if err := fw.Close(); err != nil {
-			return err
-		}
+		stripe = d.compress(stripe, raw)
 		meta.Stats[ci] = cb.footerStat()
 	}
-	meta.Length = int64(ow.stripe.Len())
+	d.stripe = stripe
+	meta.Length = int64(len(stripe))
 	meta.ColOffsets[len(ow.cols)] = meta.Length
-	if _, err := ow.w.Write(ow.stripe.Bytes()); err != nil {
+	if _, err := ow.w.Write(stripe); err != nil {
 		return err
 	}
 	ow.offset += meta.Length

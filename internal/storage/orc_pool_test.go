@@ -269,7 +269,7 @@ func (discardCloser) Close() error { return nil }
 // drops a quarter of what is put back), which cost an inflater and its
 // buffers. Writing a stripe allocates 2 objects, so one allocation per
 // column stream (seven a stripe) overshoots its ceiling; under -race
-// pool misses cost compressors, 3 to 10 objects in 40 runs, so the
+// pool misses cost deflaters and the stripe buffers they carry, so the
 // ceiling there is looser.
 const (
 	scanStripeAllocCeiling      = 80
